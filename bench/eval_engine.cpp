@@ -98,6 +98,7 @@ struct GridReport {
   int modal_m = 0;
   double ref_throughput = 0.0;
   double modal_throughput = 0.0;
+  core::detail::AoStages modal_stages;  ///< stage split of the modal plan
   bool ref_feasible = false;
   bool modal_feasible = false;
 
@@ -327,8 +328,8 @@ class LegacyModalEval {
 };
 
 /// A TPT-scan-shaped batch: `count` variants of the m = 8 candidate, each
-/// with one core's duty ratio nudged down — the exact workload
-/// run_ao_internal hands to batch_stable_core_rises per scan chunk.
+/// with one core's duty ratio nudged down — the shape of the candidates
+/// run_ao_internal's TPT scan evaluates as one batch.
 std::vector<sched::PeriodicSchedule> candidate_batch(
     const std::vector<core::CoreOscillation>& cores,
     const core::AoOptions& options, std::size_t count) {
@@ -461,8 +462,7 @@ GridReport bench_grid(std::size_t rows, std::size_t cols, double eval_budget_s,
           .inf_norm();
 
   // SIMD-layer measurements: the frozen pre-kernel-layer baseline vs the
-  // batched SoA pass at the CPU's best level, on a TPT-scan-shaped batch
-  // sized like a single-thread scan chunk.
+  // batched SoA pass at the CPU's best level, on a TPT-scan-shaped batch.
   const std::vector<sched::PeriodicSchedule> batch =
       candidate_batch(oscillations, options, 64);
   const LegacyModalEval legacy(platform);
@@ -501,9 +501,11 @@ GridReport bench_grid(std::size_t rows, std::size_t cols, double eval_budget_s,
     core::AoOptions modal_options = options;
     modal_options.eval_engine = sim::EvalEngine::kModal;
     const double t0 = now_s();
-    const core::SchedulerResult fast = core::run_ao(platform, kTMaxC,
-                                                    modal_options);
+    const core::detail::AoInternal run =
+        core::detail::run_ao_internal(platform, kTMaxC, modal_options);
     report.modal_ao_s = now_s() - t0;
+    const core::SchedulerResult& fast = run.result;
+    report.modal_stages = run.stages;
     report.modal_m = fast.m;
     report.modal_throughput = fast.throughput;
     report.modal_feasible = fast.feasible;
@@ -574,7 +576,9 @@ void write_json(const char* path, const std::vector<GridReport>& grids,
         "\"modal_ao_run\": %s, "
         "\"ref_ao_s\": %.4f, \"modal_ao_s\": %.4f, \"ao_speedup\": %.2f, "
         "\"m\": [%d, %d], \"throughput\": [%.12f, %.12f], "
-        "\"feasible\": [%s, %s]}%s\n",
+        "\"feasible\": [%s, %s], \"seed_s\": %.4f, \"m_search_s\": %.4f, "
+        "\"tpt_s\": %.4f, \"final_peak_s\": %.4f, "
+        "\"m_search_candidates\": %zu, \"tpt_candidates\": %zu}%s\n",
         g.rows, g.cols, g.nodes, g.cores, g.ref_eval_us, g.modal_eval_us,
         g.eval_speedup(), g.base_eval_us, g.batch_eval_us, g.simd_speedup(),
         g.dispatch_identical ? "true" : "false", g.boundary_agreement,
@@ -582,8 +586,10 @@ void write_json(const char* path, const std::vector<GridReport>& grids,
         g.ref_ao_s, g.modal_ao_s,
         g.ao_speedup(), g.ref_m, g.modal_m, g.ref_throughput,
         g.modal_throughput, g.ref_feasible ? "true" : "false",
-        g.modal_feasible ? "true" : "false",
-        i + 1 < grids.size() ? "," : "");
+        g.modal_feasible ? "true" : "false", g.modal_stages.seed_s,
+        g.modal_stages.m_search_s, g.modal_stages.tpt_s,
+        g.modal_stages.final_peak_s, g.modal_stages.m_search_candidates,
+        g.modal_stages.tpt_candidates, i + 1 < grids.size() ? "," : "");
   }
   std::fprintf(out, "  ],\n");
   std::fprintf(out, "  \"gemm\": [\n");
@@ -712,6 +718,21 @@ int main(int argc, char** argv) {
                    : g.modal_ao_run ? "-/" + std::to_string(g.modal_m)
                                     : "-/-"});
   std::printf("%s\n", table.str().c_str());
+
+  TextTable stage_table({"grid", "seed", "m-search", "TPT", "final peak",
+                         "m cands", "TPT cands"});
+  for (const GridReport& g : grids) {
+    if (!g.modal_ao_run) continue;
+    const core::detail::AoStages& st = g.modal_stages;
+    stage_table.add_row({std::to_string(g.rows) + "x" + std::to_string(g.cols),
+                         fmt(st.seed_s, 4) + " s",
+                         fmt(st.m_search_s, 4) + " s",
+                         fmt(st.tpt_s, 4) + " s",
+                         fmt(st.final_peak_s, 4) + " s",
+                         std::to_string(st.m_search_candidates),
+                         std::to_string(st.tpt_candidates)});
+  }
+  std::printf("modal AO stages:\n%s\n", stage_table.str().c_str());
 
   TextTable simd_table({"grid", "pre-SIMD eval", "batched+SIMD", "speedup",
                         "dispatch bits"});

@@ -77,34 +77,50 @@ int oscillation_bound(const std::vector<CoreOscillation>& cores,
   return bound;  // INT_MAX when tau == 0 (caller caps with max_m)
 }
 
+void oscillation_segments(const CoreOscillation& osc, double sub_period,
+                          double tau, std::vector<sched::Segment>& out) {
+  if (!osc.oscillating || osc.ratio_high <= 0.0 || osc.ratio_high >= 1.0) {
+    const double level = !osc.oscillating
+                             ? osc.v_low
+                             : (osc.ratio_high <= 0.0 ? osc.v_low
+                                                      : osc.v_high);
+    out.assign(1, sched::Segment{sub_period, level});
+    return;
+  }
+  const double delta = tau > 0.0 ? osc.delta(tau) : 0.0;
+  const double low = (1.0 - osc.ratio_high) * sub_period - delta;
+  const double high = osc.ratio_high * sub_period + delta;
+  FOSCIL_ASSERT(low > 0.0);
+  out.assign(
+      {sched::Segment{low, osc.v_low}, sched::Segment{high, osc.v_high}});
+  // Rotate the segment list in place rather than phase_shift-ing the whole
+  // schedule, which copied every core's segments once per shifted core.
+  if (osc.phase_offset != 0.0)
+    out = sched::rotate_segments(out, sub_period, osc.phase_offset);
+}
+
+void build_oscillating_schedule(const std::vector<CoreOscillation>& cores,
+                                double base_period, int m, double tau,
+                                sched::PeriodicSchedule& out,
+                                std::vector<sched::Segment>& segments) {
+  FOSCIL_EXPECTS(m >= 1);
+  FOSCIL_EXPECTS(out.num_cores() == cores.size());
+  const double sub_period = base_period / static_cast<double>(m);
+  out.reset(sub_period);
+  for (std::size_t i = 0; i < cores.size(); ++i) {
+    oscillation_segments(cores[i], sub_period, tau, segments);
+    out.assign_core_segments(i, segments);
+  }
+}
+
 sched::PeriodicSchedule build_oscillating_schedule(
     const std::vector<CoreOscillation>& cores, double base_period, int m,
     double tau) {
   FOSCIL_EXPECTS(m >= 1);
-  const double sub_period = base_period / static_cast<double>(m);
-  sched::PeriodicSchedule schedule(cores.size(), sub_period);
-  for (std::size_t i = 0; i < cores.size(); ++i) {
-    const CoreOscillation& osc = cores[i];
-    if (!osc.oscillating || osc.ratio_high <= 0.0 || osc.ratio_high >= 1.0) {
-      const double level = !osc.oscillating
-                               ? osc.v_low
-                               : (osc.ratio_high <= 0.0 ? osc.v_low
-                                                        : osc.v_high);
-      schedule.set_core_segments(i, {sched::Segment{sub_period, level}});
-      continue;
-    }
-    const double delta = tau > 0.0 ? osc.delta(tau) : 0.0;
-    const double low = (1.0 - osc.ratio_high) * sub_period - delta;
-    const double high = osc.ratio_high * sub_period + delta;
-    FOSCIL_ASSERT(low > 0.0);
-    std::vector<sched::Segment> segments{
-        sched::Segment{low, osc.v_low}, sched::Segment{high, osc.v_high}};
-    // Rotate the segment list in place rather than phase_shift-ing the whole
-    // schedule, which copied every core's segments once per shifted core.
-    if (osc.phase_offset != 0.0)
-      segments = sched::rotate_segments(segments, sub_period, osc.phase_offset);
-    schedule.set_core_segments(i, std::move(segments));
-  }
+  sched::PeriodicSchedule schedule(cores.size(),
+                                   base_period / static_cast<double>(m));
+  std::vector<sched::Segment> segments;
+  build_oscillating_schedule(cores, base_period, m, tau, schedule, segments);
   return schedule;
 }
 
@@ -118,35 +134,43 @@ double oscillation_throughput(const std::vector<CoreOscillation>& cores) {
   return total / static_cast<double>(cores.size());
 }
 
-/// Candidate scans fan out only when the per-candidate evaluation is
-/// expensive enough to amortize thread spawns (~tens of microseconds per
-/// worker); below ~32 thermal nodes a modal evaluation is sub-microsecond
-/// and threading is pure overhead.
-unsigned resolve_scan_threads(unsigned requested, std::size_t num_nodes) {
-  if (requested != 0) return requested;
-  return num_nodes >= 32 ? hardware_parallelism() : 1u;
-}
+/// Per-thread scan state, kept for a whole planning call so the scans
+/// allocate nothing per candidate: the rise batch (interval buffer, memo
+/// views, boundary block), a schedule to mutate into each candidate, and
+/// segment scratch.
+struct ScanWorker {
+  ScanWorker(const sim::SteadyStateAnalyzer& analyzer, std::size_t cores,
+             double period)
+      : batch(analyzer), schedule(cores, period) {}
+  sim::RiseBatch batch;
+  sched::PeriodicSchedule schedule;
+  std::vector<sched::Segment> segments;
+};
 
-/// Partition [0, count) into at most `threads` contiguous chunks and run
-/// `body(begin, end)` over them concurrently.  The candidate scans use this
-/// so each worker hands its whole chunk to the analyzer as one batch: SIMD
-/// lanes (batched back-transform, amortized factor caches) compose with the
-/// thread fan-out.  Batching is bit-identical to per-candidate evaluation
-/// and each index is computed exactly once, so results stay independent of
-/// the thread count even though the chunk boundaries move with it.
+/// Partition [0, count) into at most `workers.size()` contiguous chunks and
+/// run `body(worker, begin, end)` over them, chunk c on workers[c].  With
+/// one worker this is a plain call on the calling thread; otherwise the
+/// chunks fan out through parallel_for.  Each worker hands its chunk to its
+/// rise batch as one batch, and each index is computed exactly once, so
+/// results are independent of the worker count even though the chunk
+/// boundaries move with it.
 template <typename Body>
-void parallel_chunks(std::size_t count, unsigned threads, const Body& body) {
+void scan_chunks(std::size_t count, std::vector<ScanWorker>& workers,
+                 const Body& body) {
   if (count == 0) return;
-  const std::size_t workers = std::max<std::size_t>(1, threads);
-  const std::size_t chunk = (count + workers - 1) / workers;
+  if (workers.size() == 1) {
+    body(workers.front(), 0, count);
+    return;
+  }
+  const std::size_t chunk = (count + workers.size() - 1) / workers.size();
   const std::size_t n_chunks = (count + chunk - 1) / chunk;
   parallel_for(
       n_chunks,
       [&](std::size_t c) {
         const std::size_t begin = c * chunk;
-        body(begin, std::min(count, begin + chunk));
+        body(workers[c], begin, std::min(count, begin + chunk));
       },
-      threads);
+      static_cast<unsigned>(workers.size()));
 }
 
 }  // namespace
@@ -165,16 +189,36 @@ AoInternal run_ao_internal(const Platform& platform, double t_max_c,
   const auto& model = *platform.model;
   const sim::SteadyStateAnalyzer analyzer(platform.model,
                                           options.eval_engine);
-  const unsigned scan_threads =
-      resolve_scan_threads(options.scan_threads, model.num_nodes());
   const double tau = options.transition_overhead;
-  std::size_t evaluations = 0;
+  const auto cancelled = [&] {
+    return options.cancel != nullptr && options.cancel->cancelled();
+  };
+  const auto throw_if_cancelled = [&] {
+    if (options.cancel != nullptr) options.cancel->throw_if_cancelled();
+  };
+  AoInternal internal;
+  AoStages& stages = internal.stages;
 
   // Steps 1-2: ideal voltages -> neighboring-mode oscillation parameters.
   const IdealVoltages ideal = ideal_constant_voltages(
       model, rise_target, platform.levels.highest());
   std::vector<CoreOscillation> cores = detail::make_oscillations(
       ideal.voltages, platform.levels, options.mode_choice);
+  const std::size_t num_cores = cores.size();
+  // Scans run on the calling thread unless the caller asks for more
+  // (AoOptions::scan_threads gives the measurements).  No scan holds more
+  // candidates than the m-search block or the core count, so more workers
+  // than that would never get a chunk.
+  const int block = std::max(1, options.m_search_patience);
+  const std::size_t scan_threads = std::min<std::size_t>(
+      options.scan_threads == 0 ? 1 : options.scan_threads,
+      std::max(num_cores, static_cast<std::size_t>(block)));
+  std::vector<ScanWorker> workers;
+  workers.reserve(scan_threads);
+  for (std::size_t w = 0; w < scan_threads; ++w)
+    workers.emplace_back(analyzer, num_cores, options.base_period);
+  double stage_start = timer.seconds();
+  stages.seed_s = stage_start;
 
   // Step 3: search m in [1, M] for the lowest peak (Theorem 5 modulated by
   // the per-transition extension cost).
@@ -184,40 +228,42 @@ AoInternal run_ao_internal(const Platform& platform, double t_max_c,
   int best_m = 1;
   double best_peak = std::numeric_limits<double>::infinity();
   {
-    // Evaluate the m window in fixed-size blocks so candidates run
+    // Evaluate the m window in fixed-size blocks so candidates can run
     // concurrently while reproducing the sequential early-stop rule exactly:
     // block size depends only on the patience knob (never on the thread
     // count), each candidate is independent, and the patience fold walks the
     // block in ascending m — so the chosen m is identical for any
     // scan_threads.  A stop mid-block wastes at most patience-1 evaluations.
-    const int block = std::max(1, options.m_search_patience);
+    std::vector<double> peaks(static_cast<std::size_t>(block));
     int stale = 0;
     int next = 1;
     bool stop = false;
     while (!stop && next <= bound) {
       const int count = std::min(block, bound - next + 1);
-      std::vector<double> peaks(static_cast<std::size_t>(count));
-      parallel_chunks(
-          static_cast<std::size_t>(count), scan_threads,
-          [&](std::size_t begin, std::size_t end) {
+      scan_chunks(
+          static_cast<std::size_t>(count), workers,
+          [&](ScanWorker& worker, std::size_t begin, std::size_t end) {
             // Cancellation check point: between chunks, never inside the
             // evaluation.  A fired token skips the remaining chunks (the
             // results are discarded by the throw below).
-            if (options.cancel != nullptr && options.cancel->cancelled())
-              return;
-            std::vector<sched::PeriodicSchedule> schedules;
-            schedules.reserve(end - begin);
-            for (std::size_t i = begin; i < end; ++i)
-              schedules.push_back(detail::build_oscillating_schedule(
+            if (cancelled()) return;
+            worker.batch.clear();
+            for (std::size_t i = begin; i < end; ++i) {
+              detail::build_oscillating_schedule(
                   cores, options.base_period, next + static_cast<int>(i),
-                  tau));
-            const std::vector<sim::PeakInfo> batch =
-                sim::batch_step_up_peaks(analyzer, schedules);
-            for (std::size_t i = begin; i < end; ++i)
-              peaks[i] = batch[i - begin].rise;
+                  tau, worker.schedule, worker.segments);
+              // Theorem 1 puts the peak at the period end.
+              FOSCIL_EXPECTS(worker.schedule.is_step_up());
+              worker.batch.add(worker.schedule);
+            }
+            worker.batch.finish();
+            for (std::size_t i = begin; i < end; ++i) {
+              const double* rises = worker.batch.core_rises(i - begin);
+              peaks[i] = *std::max_element(rises, rises + num_cores);
+            }
           });
-      if (options.cancel != nullptr) options.cancel->throw_if_cancelled();
-      evaluations += static_cast<std::size_t>(count);
+      throw_if_cancelled();
+      stages.m_search_candidates += static_cast<std::size_t>(count);
       for (int i = 0; i < count && !stop; ++i) {
         if (peaks[static_cast<std::size_t>(i)] < best_peak - 1e-12) {
           best_peak = peaks[static_cast<std::size_t>(i)];
@@ -230,28 +276,34 @@ AoInternal run_ao_internal(const Platform& platform, double t_max_c,
       next += count;
     }
   }
+  stages.m_search_s = timer.seconds() - stage_start;
+  stage_start += stages.m_search_s;
 
   // Step 4: TPT-guided ratio reduction until the peak obeys the budget.
+  // The incumbent schedule is built once; a candidate that lowers core j's
+  // ratio differs from it only in core j's cycle, so each worker mutates a
+  // copy of the incumbent into the candidate and back, and the winner's
+  // cycle is written into the incumbent — every core's cycle depends on
+  // that core alone, so this is bit-identical to rebuilding the schedule.
   const double u = options.t_unit_fraction;  // ratio step (t_unit / t_p)
   const double tolerance = rise_target * 1e-9;
-  auto rises_of = [&](const std::vector<CoreOscillation>& state) {
-    const auto schedule = detail::build_oscillating_schedule(
-        state, options.base_period, best_m, tau);
-    return analyzer.stable_core_rises(schedule);
-  };
-
-  linalg::Vector core_rises = rises_of(cores);
-  ++evaluations;
+  const double sub_period = options.base_period / static_cast<double>(best_m);
+  sched::PeriodicSchedule incumbent(num_cores, sub_period);
+  std::vector<sched::Segment> segments;
+  detail::build_oscillating_schedule(cores, options.base_period, best_m, tau,
+                                     incumbent, segments);
+  linalg::Vector core_rises = analyzer.stable_core_rises(incumbent);
+  ++stages.tpt_candidates;
+  std::vector<std::size_t> scan;
+  scan.reserve(num_cores);
+  linalg::Matrix scan_rises(num_cores, num_cores);  // row i: candidate i
   while (core_rises.max() > rise_target + tolerance) {
-    if (options.cancel != nullptr) options.cancel->throw_if_cancelled();
+    throw_if_cancelled();
     const std::size_t hottest = core_rises.argmax();
     const bool hottest_adjustable =
         cores[hottest].oscillating && cores[hottest].ratio_high > 0.0;
-    // Collect the adjustable candidates first so their evaluations — each
-    // an independent steady-state solve against the immutable model — can
-    // fan out across scan threads.
-    std::vector<std::size_t> scan;
-    for (std::size_t j = 0; j < cores.size(); ++j) {
+    scan.clear();
+    for (std::size_t j = 0; j < num_cores; ++j) {
       if (!cores[j].oscillating || cores[j].ratio_high <= 0.0) continue;
       // Ablation: the naive policy only ever slows the hottest core down
       // (falling back to the full scan when that core has no knob left).
@@ -261,28 +313,32 @@ AoInternal run_ao_internal(const Platform& platform, double t_max_c,
       scan.push_back(j);
     }
     if (scan.empty()) break;  // no adjustable core remains
-    std::vector<linalg::Vector> scan_rises(scan.size());
-    parallel_chunks(
-        scan.size(), scan_threads, [&](std::size_t begin, std::size_t end) {
-          if (options.cancel != nullptr && options.cancel->cancelled())
-            return;  // between chunks; discarded by the throw below
-          std::vector<sched::PeriodicSchedule> schedules;
-          schedules.reserve(end - begin);
+    scan_chunks(
+        scan.size(), workers,
+        [&](ScanWorker& worker, std::size_t begin, std::size_t end) {
+          if (cancelled()) return;  // between chunks; discarded below
+          sched::PeriodicSchedule& candidate = worker.schedule;
+          candidate = incumbent;  // reuses the worker's storage
+          worker.batch.clear();
           for (std::size_t i = begin; i < end; ++i) {
-            std::vector<CoreOscillation> candidate = cores;
-            candidate[scan[i]].ratio_high =
-                std::max(0.0, candidate[scan[i]].ratio_high - u);
-            schedules.push_back(detail::build_oscillating_schedule(
-                candidate, options.base_period, best_m, tau));
+            const std::size_t j = scan[i];
+            CoreOscillation lowered = cores[j];
+            lowered.ratio_high = std::max(0.0, lowered.ratio_high - u);
+            detail::oscillation_segments(lowered, sub_period, tau,
+                                         worker.segments);
+            candidate.assign_core_segments(j, worker.segments);
+            worker.batch.add(candidate);
+            detail::oscillation_segments(cores[j], sub_period, tau,
+                                         worker.segments);
+            candidate.assign_core_segments(j, worker.segments);
           }
-          std::vector<linalg::Vector> batch =
-              analyzer.batch_stable_core_rises(schedules.data(),
-                                               schedules.size());
+          worker.batch.finish();
           for (std::size_t i = begin; i < end; ++i)
-            scan_rises[i] = std::move(batch[i - begin]);
+            std::copy_n(worker.batch.core_rises(i - begin), num_cores,
+                        scan_rises.row_data(i));
         });
-    if (options.cancel != nullptr) options.cancel->throw_if_cancelled();
-    evaluations += scan.size();
+    throw_if_cancelled();
+    stages.tpt_candidates += scan.size();
     // Deterministic selection: fold in ascending-core order with the same
     // strict `>` the sequential scan used, so the winner (and therefore the
     // whole trajectory) is independent of the thread count.
@@ -295,7 +351,7 @@ AoInternal run_ao_internal(const Platform& platform, double t_max_c,
           (cores[j].v_high - cores[j].v_low) *
           (cores[j].ratio_high - new_ratio);
       if (speed_loss <= 0.0) continue;
-      const double delta_t = core_rises[hottest] - scan_rises[i][hottest];
+      const double delta_t = core_rises[hottest] - scan_rises(i, hottest);
       const double tpt = delta_t / speed_loss;
       if (tpt > best_tpt) {
         best_tpt = tpt;
@@ -306,25 +362,27 @@ AoInternal run_ao_internal(const Platform& platform, double t_max_c,
     const std::size_t best_core = scan[best_i];
     cores[best_core].ratio_high =
         std::max(0.0, cores[best_core].ratio_high - u);
-    core_rises = std::move(scan_rises[best_i]);
+    detail::oscillation_segments(cores[best_core], sub_period, tau, segments);
+    incumbent.assign_core_segments(best_core, segments);
+    std::copy_n(scan_rises.row_data(best_i), num_cores, core_rises.data());
   }
+  stages.tpt_s = timer.seconds() - stage_start;
+  stage_start += stages.tpt_s;
 
-  const auto final_schedule = detail::build_oscillating_schedule(
-      cores, options.base_period, best_m, tau);
-  const sim::PeakInfo peak = sim::step_up_peak(analyzer, final_schedule);
+  const sim::PeakInfo peak = sim::step_up_peak(analyzer, incumbent);
 
-  AoInternal internal;
   internal.cores = cores;
   SchedulerResult& result = internal.result;
   result.scheduler = "AO";
   result.feasible = peak.rise <= rise_target * (1.0 + 1e-6);
-  result.schedule = final_schedule;
+  result.schedule = std::move(incumbent);
   result.throughput = detail::oscillation_throughput(cores);
   result.peak_rise = peak.rise;
   result.peak_celsius = platform.to_celsius(peak.rise);
   result.m = best_m;
-  result.evaluations = evaluations;
+  result.evaluations = stages.m_search_candidates + stages.tpt_candidates;
   result.seconds = timer.seconds();
+  stages.final_peak_s = result.seconds - stage_start;
   return internal;
 }
 

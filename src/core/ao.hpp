@@ -61,16 +61,21 @@ struct AoOptions {
   /// reference engine in the last ulps — the serve cache hashes this knob.
   sim::EvalEngine eval_engine = sim::EvalEngine::kModal;
   /// Worker threads for the m-search window and the TPT candidate scan.
-  /// 0 = automatic: one per hardware thread when the platform is large
-  /// enough for fan-out to amortize thread spawns (>= 32 thermal nodes),
-  /// serial otherwise.  The thread count never changes the chosen plan:
+  /// 0 = automatic, which is serial: a candidate costs a few microseconds
+  /// and a scan holds at most one per core, so splitting a scan across
+  /// threads lost through 4x4 and saved about a tenth of a seed-dominated
+  /// 6x6 or 8x8 plan on an idle host (EXPERIMENTS.md X11) — and a
+  /// planning service already runs plans concurrently on its workers.  An
+  /// explicit value > 1 splits each scan into that many chunks via
+  /// parallel_for.  The thread count never changes the chosen plan:
   /// candidates are evaluated independently and reduced in deterministic
   /// index order, so any value yields bit-identical results.
   unsigned scan_threads = 0;
   /// Cooperative cancellation (util/cancel.hpp).  Polled *between*
-  /// candidate evaluations in the m-search and TPT scans — never inside the
-  /// numerics — so a fired token stops the run within one candidate and a
-  /// run that finishes is bit-identical to one planned with no token.
+  /// candidate batches in the m-search and TPT scans (a batch holds at most
+  /// m_search_patience candidates, or one per core) — never inside the
+  /// numerics — so a fired token stops the run within one batch and a run
+  /// that finishes is bit-identical to one planned with no token.
   /// Raises CancelledError.  Not hashed by the serve cache key (like
   /// scan_threads, it cannot change a completed plan).
   const CancelToken* cancel = nullptr;
@@ -111,19 +116,47 @@ namespace detail {
 [[nodiscard]] int oscillation_bound(const std::vector<CoreOscillation>& cores,
                                     double base_period, double tau);
 
-/// Build the sub-period (t_p / m) schedule: per oscillating core, low for
-/// r_L t_p/m - delta then high for r_H t_p/m + delta (phase-rotated when a
-/// core carries an offset).  Cores whose high ratio reached 0 or 1 collapse
-/// to constant segments.
+/// One core's cycle in the sub-period (t_p / m) schedule, written into
+/// `out`: low for r_L·sub_period - delta then high for r_H·sub_period +
+/// delta (phase-rotated when the core carries an offset), or one constant
+/// segment when the core does not oscillate or its high ratio reached 0 or
+/// 1.  Each core's cycle depends on that core alone, which lets a TPT
+/// candidate replace one core of the incumbent schedule instead of
+/// rebuilding every core.
+void oscillation_segments(const CoreOscillation& osc, double sub_period,
+                          double tau, std::vector<sched::Segment>& out);
+
+/// Build the sub-period (t_p / m) schedule from every core's
+/// oscillation_segments.
 [[nodiscard]] sched::PeriodicSchedule build_oscillating_schedule(
     const std::vector<CoreOscillation>& cores, double base_period, int m,
     double tau);
+
+/// build_oscillating_schedule into an existing schedule of the same core
+/// count, reusing its storage; `segments` is scratch.  Bit-identical to the
+/// returning overload.
+void build_oscillating_schedule(const std::vector<CoreOscillation>& cores,
+                                double base_period, int m, double tau,
+                                sched::PeriodicSchedule& out,
+                                std::vector<sched::Segment>& segments);
+
+/// Wall time and work of AO's stages.  The four times partition the run,
+/// so they sum to SchedulerResult::seconds.
+struct AoStages {
+  double seed_s = 0.0;        ///< ideal voltages + oscillation parameters
+  double m_search_s = 0.0;    ///< step 3: the m window
+  double tpt_s = 0.0;         ///< step 4: TPT-guided ratio reduction
+  double final_peak_s = 0.0;  ///< final peak check and the result
+  std::size_t m_search_candidates = 0;
+  std::size_t tpt_candidates = 0;  ///< includes the incumbent evaluation
+};
 
 /// AO result plus the oscillation parameters it settled on; PCO continues
 /// from this state.
 struct AoInternal {
   SchedulerResult result;
   std::vector<CoreOscillation> cores;
+  AoStages stages;
 };
 
 [[nodiscard]] AoInternal run_ao_internal(const Platform& platform,

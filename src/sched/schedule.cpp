@@ -27,9 +27,9 @@ PeriodicSchedule PeriodicSchedule::constant(const linalg::Vector& voltages,
   return schedule;
 }
 
-void PeriodicSchedule::set_core_segments(std::size_t core,
-                                         std::vector<Segment> segments) {
-  FOSCIL_EXPECTS(core < segments_.size());
+namespace {
+/// Sum of a core cycle's durations after the checks every setter shares.
+double checked_total(std::span<const Segment> segments, double period) {
   FOSCIL_EXPECTS(!segments.empty());
   double total = 0.0;
   for (const auto& seg : segments) {
@@ -37,7 +37,21 @@ void PeriodicSchedule::set_core_segments(std::size_t core,
     FOSCIL_EXPECTS(seg.voltage >= 0.0);
     total += seg.duration;
   }
-  FOSCIL_EXPECTS(std::abs(total - period_) <= kRelTol * period_ * 1e3);
+  FOSCIL_EXPECTS(std::abs(total - period) <= kRelTol * period * 1e3);
+  return total;
+}
+}  // namespace
+
+void PeriodicSchedule::reset(double period) {
+  FOSCIL_EXPECTS(period > 0.0);
+  period_ = period;
+  for (auto& core : segments_) core.assign(1, Segment{period, 0.0});
+}
+
+void PeriodicSchedule::set_core_segments(std::size_t core,
+                                         std::vector<Segment> segments) {
+  FOSCIL_EXPECTS(core < segments_.size());
+  const double total = checked_total(segments, period_);
   // Rescale so the durations sum to the period exactly; this keeps the
   // state-interval merge free of spurious slivers.
   const double scale = period_ / total;
@@ -45,17 +59,19 @@ void PeriodicSchedule::set_core_segments(std::size_t core,
   segments_[core] = std::move(segments);
 }
 
+void PeriodicSchedule::assign_core_segments(
+    std::size_t core, std::span<const Segment> segments) {
+  FOSCIL_EXPECTS(core < segments_.size());
+  const double scale = period_ / checked_total(segments, period_);
+  std::vector<Segment>& stored = segments_[core];
+  stored.assign(segments.begin(), segments.end());
+  for (auto& seg : stored) seg.duration *= scale;
+}
+
 void PeriodicSchedule::restore_core_segments(std::size_t core,
                                              std::vector<Segment> segments) {
   FOSCIL_EXPECTS(core < segments_.size());
-  FOSCIL_EXPECTS(!segments.empty());
-  double total = 0.0;
-  for (const auto& seg : segments) {
-    FOSCIL_EXPECTS(seg.duration > 0.0);
-    FOSCIL_EXPECTS(seg.voltage >= 0.0);
-    total += seg.duration;
-  }
-  FOSCIL_EXPECTS(std::abs(total - period_) <= kRelTol * period_ * 1e3);
+  (void)checked_total(segments, period_);
   segments_[core] = std::move(segments);
 }
 
@@ -72,8 +88,23 @@ double PeriodicSchedule::voltage_at(std::size_t core, double t) const {
 }
 
 std::vector<StateInterval> PeriodicSchedule::state_intervals() const {
+  IntervalBuffer flat;
+  state_intervals_into(flat);
+  std::vector<StateInterval> intervals(flat.size());
+  for (std::size_t k = 0; k < flat.size(); ++k) {
+    StateInterval& interval = intervals[k];
+    interval.start = flat.start(k);
+    interval.length = flat.length(k);
+    interval.voltages = linalg::Vector(flat.num_cores());
+    std::copy_n(flat.voltages(k), flat.num_cores(), interval.voltages.data());
+  }
+  return intervals;
+}
+
+void PeriodicSchedule::state_intervals_into(IntervalBuffer& out) const {
   // Gather all per-core breakpoints (cumulative durations).
-  std::vector<double> breaks{0.0, period_};
+  std::vector<double>& breaks = out.breaks_;
+  breaks.assign({0.0, period_});
   for (const auto& core : segments_) {
     double cursor = 0.0;
     for (std::size_t s = 0; s + 1 < core.size(); ++s) {
@@ -82,16 +113,17 @@ std::vector<StateInterval> PeriodicSchedule::state_intervals() const {
     }
   }
   std::sort(breaks.begin(), breaks.end());
+  // Merge in place: the write cursor never passes the read cursor.
   const double merge_tol = kRelTol * period_;
-  std::vector<double> merged;
-  for (double b : breaks) {
-    if (merged.empty() || b - merged.back() > merge_tol) merged.push_back(b);
+  std::size_t merged = 0;
+  for (const double b : breaks) {
+    if (merged == 0 || b - breaks[merged - 1] > merge_tol)
+      breaks[merged++] = b;
   }
-  if (period_ - merged.back() <= merge_tol) merged.back() = period_;
-  else merged.push_back(period_);
+  breaks.resize(merged);
+  if (period_ - breaks.back() <= merge_tol) breaks.back() = period_;
+  else breaks.push_back(period_);
 
-  std::vector<StateInterval> intervals;
-  intervals.reserve(merged.size() - 1);
   // Per-core cursor walk: interval midpoints are strictly increasing, so
   // each core's segment list is traversed once for the whole schedule
   // instead of restarting a voltage_at scan per (interval, core).  The
@@ -100,27 +132,25 @@ std::vector<StateInterval> PeriodicSchedule::state_intervals() const {
   // (fmod is exact for 0 <= midpoint < period, so voltage_at's wrap is a
   // no-op here).
   const std::size_t cores = num_cores();
-  std::vector<std::size_t> seg_index(cores, 0);
-  std::vector<double> seg_end(cores);
-  for (std::size_t core = 0; core < cores; ++core)
-    seg_end[core] = segments_[core].front().duration;
-  for (std::size_t k = 0; k + 1 < merged.size(); ++k) {
-    StateInterval interval;
-    interval.start = merged[k];
-    interval.length = merged[k + 1] - merged[k];
-    interval.voltages = linalg::Vector(cores);
-    const double midpoint = interval.start + 0.5 * interval.length;
-    for (std::size_t core = 0; core < cores; ++core) {
-      const auto& segs = segments_[core];
-      while (midpoint >= seg_end[core] && seg_index[core] + 1 < segs.size()) {
-        ++seg_index[core];
-        seg_end[core] += segs[seg_index[core]].duration;
+  const std::size_t intervals = breaks.size() - 1;
+  out.cores_ = cores;
+  out.voltages_.resize(intervals * cores);
+  out.midpoints_.resize(intervals);
+  for (std::size_t k = 0; k < intervals; ++k)
+    out.midpoints_[k] = out.start(k) + 0.5 * out.length(k);
+  for (std::size_t core = 0; core < cores; ++core) {
+    const auto& segs = segments_[core];
+    std::size_t index = 0;
+    double end = segs.front().duration;
+    double* column = out.voltages_.data() + core;
+    for (std::size_t k = 0; k < intervals; ++k) {
+      while (out.midpoints_[k] >= end && index + 1 < segs.size()) {
+        ++index;
+        end += segs[index].duration;
       }
-      interval.voltages[core] = segs[seg_index[core]].voltage;
+      column[k * cores] = segs[index].voltage;
     }
-    intervals.push_back(std::move(interval));
   }
-  return intervals;
 }
 
 double PeriodicSchedule::throughput() const {

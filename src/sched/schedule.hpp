@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "linalg/matrix.hpp"
@@ -28,6 +29,34 @@ struct StateInterval {
   linalg::Vector voltages;       ///< per-core supply voltage
 };
 
+/// State intervals in flat, caller-owned storage (see
+/// PeriodicSchedule::state_intervals_into).  Interval k starts at
+/// breakpoint k and ends at breakpoint k + 1; its per-core voltages are row
+/// k of one contiguous intervals × cores block.  Refilling a buffer keeps
+/// its capacity, so a planner scan that merges thousands of candidate
+/// schedules through one buffer stops allocating once the buffer has grown
+/// to the largest candidate.
+class IntervalBuffer {
+ public:
+  [[nodiscard]] std::size_t size() const { return breaks_.size() - 1; }
+  [[nodiscard]] std::size_t num_cores() const { return cores_; }
+  [[nodiscard]] double start(std::size_t k) const { return breaks_[k]; }
+  [[nodiscard]] double length(std::size_t k) const {
+    return breaks_[k + 1] - breaks_[k];
+  }
+  /// num_cores() voltages of interval k.
+  [[nodiscard]] const double* voltages(std::size_t k) const {
+    return voltages_.data() + k * cores_;
+  }
+
+ private:
+  friend class PeriodicSchedule;
+  std::size_t cores_ = 0;
+  std::vector<double> breaks_{0.0};  // merged breakpoints, period included
+  std::vector<double> voltages_;     // size() × cores_, row-major
+  std::vector<double> midpoints_;   // cursor-walk scratch
+};
+
 /// Piecewise-constant periodic voltage schedule for N cores.
 class PeriodicSchedule {
  public:
@@ -42,10 +71,21 @@ class PeriodicSchedule {
   [[nodiscard]] std::size_t num_cores() const { return segments_.size(); }
   [[nodiscard]] double period() const { return period_; }
 
+  /// Return to the freshly constructed state with a new period (every core
+  /// holds 0 V for the whole period), keeping the per-core storage so a
+  /// caller that rebuilds schedules in a loop does not reallocate.
+  void reset(double period);
+
   /// Replace one core's cycle; durations must be positive and sum to the
   /// period (within a relative tolerance, after which they are rescaled to
   /// sum exactly).
   void set_core_segments(std::size_t core, std::vector<Segment> segments);
+
+  /// set_core_segments copying from a caller buffer into the core's
+  /// existing storage (no allocation once it has the capacity).  Same
+  /// validation and rescale, so the stored bits are identical.
+  void assign_core_segments(std::size_t core,
+                            std::span<const Segment> segments);
 
   /// Verbatim variant for deserialization (serve/snapshot warm restart):
   /// same validation as set_core_segments but durations are stored exactly
@@ -66,6 +106,11 @@ class PeriodicSchedule {
 
   /// Merge the per-core breakpoints into chip-wide state intervals.
   [[nodiscard]] std::vector<StateInterval> state_intervals() const;
+
+  /// state_intervals written into `out`, overwriting its contents: the same
+  /// breakpoint sort, merge tolerance and per-core cursor walk, so starts,
+  /// lengths and voltages are bit-identical to state_intervals().
+  void state_intervals_into(IntervalBuffer& out) const;
 
   /// Chip-wide throughput of eq. (5): mean speed per core, with speed == v.
   /// (Transition-stall accounting lives in the AO scheduler, which builds

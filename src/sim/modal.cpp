@@ -1,5 +1,6 @@
 #include "sim/modal.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstring>
@@ -75,29 +76,12 @@ const char* eval_engine_name(EvalEngine engine) {
   return "?";
 }
 
-std::size_t ModalEvaluator::KeyHash::operator()(
-    const std::vector<double>& key) const {
-  return hash_doubles(key.data(), key.size());
+std::size_t ModalEvaluator::KeyHash::hash(KeyView key) {
+  return hash_doubles(key.data, key.size);
 }
 
-std::size_t ModalEvaluator::KeyHash::operator()(
-    const linalg::Vector& key) const {
-  return hash_doubles(key.data(), key.size());
-}
-
-bool ModalEvaluator::KeyEq::operator()(const std::vector<double>& a,
-                                       const std::vector<double>& b) const {
-  return equal_doubles(a.data(), a.size(), b.data(), b.size());
-}
-
-bool ModalEvaluator::KeyEq::operator()(const std::vector<double>& a,
-                                       const linalg::Vector& b) const {
-  return equal_doubles(a.data(), a.size(), b.data(), b.size());
-}
-
-bool ModalEvaluator::KeyEq::operator()(const linalg::Vector& a,
-                                       const std::vector<double>& b) const {
-  return equal_doubles(a.data(), a.size(), b.data(), b.size());
+bool ModalEvaluator::KeyEq::equal(KeyView a, KeyView b) {
+  return equal_doubles(a.data, a.size, b.data, b.size);
 }
 
 ModalEvaluator::ModalEvaluator(
@@ -118,8 +102,13 @@ ModalEvaluator::ModalEvaluator(
 
 std::shared_ptr<const linalg::Vector> ModalEvaluator::modal_b(
     const linalg::Vector& core_voltages) const {
+  return modal_b(view(core_voltages));
+}
+
+std::shared_ptr<const linalg::Vector> ModalEvaluator::modal_b(
+    KeyView core_voltages) const {
   {
-    // Heterogeneous lookup: the hit path hashes the caller's vector in
+    // Heterogeneous lookup: the hit path hashes the caller's voltages in
     // place — no key materialization, no copy of the cached projection.
     const std::lock_guard<std::mutex> lock(cache_mutex_);
     const auto it = cache_.find(core_voltages);
@@ -131,9 +120,12 @@ std::shared_ptr<const linalg::Vector> ModalEvaluator::modal_b(
   // Miss: project outside the lock so concurrent misses don't serialize on
   // the O(n²) matvec, then publish (a racing duplicate insert is harmless —
   // both threads computed the same vector).
+  std::vector<double> key(core_voltages.data,
+                          core_voltages.data + core_voltages.size);
+  linalg::Vector voltages(key.size());
+  std::copy(key.begin(), key.end(), voltages.begin());
   auto b_hat = std::make_shared<const linalg::Vector>(
-      model_->spectral().w_inverse() * model_->b_vector(core_voltages));
-  std::vector<double> key(core_voltages.begin(), core_voltages.end());
+      model_->spectral().w_inverse() * model_->b_vector(voltages));
   {
     const std::lock_guard<std::mutex> lock(cache_mutex_);
     if (cache_.size() >= kMaxCacheEntries) cache_.clear();
@@ -197,11 +189,13 @@ linalg::Vector ModalEvaluator::period_end_modal(
   const std::size_t n = model_->spectral().size();
   const linalg::simd::Kernels& kern = linalg::simd::kernels();
   linalg::Vector y(n);  // ambient start: T = 0 is y = 0 in any basis
-  for (const auto& interval : s.state_intervals()) {
+  sched::IntervalBuffer intervals;
+  s.state_intervals_into(intervals);
+  for (std::size_t k = 0; k < intervals.size(); ++k) {
     const std::shared_ptr<const linalg::Vector> b_hat =
-        modal_b(interval.voltages);
+        modal_b(KeyView{intervals.voltages(k), intervals.num_cores()});
     const std::shared_ptr<const IntervalFactors> f =
-        interval_factors(interval.length);
+        interval_factors(intervals.length(k));
     kern.modal_step(n, f->exp(), f->phi(), b_hat->data(), y.data());
   }
   return y;
@@ -235,68 +229,79 @@ std::vector<linalg::Vector> ModalEvaluator::batch_stable_core_rises(
     const sched::PeriodicSchedule* schedules, std::size_t count) const {
   std::vector<linalg::Vector> rises(count);
   if (count == 0) return rises;
-  const std::size_t n = model_->spectral().size();
-  const linalg::simd::Kernels& kern = linalg::simd::kernels();
-
-  // Batch-local views of the global memos.  Candidates in one batch (a
-  // planner scan chunk) share almost all of their voltage states, interval
-  // lengths, and the period, so resolving each distinct key once here drops
-  // the global mutex traffic from two locks per interval per candidate to a
-  // handful per batch.  The values are the *same shared factor objects* the
-  // single-candidate path uses, so nothing about the arithmetic changes.
-  std::unordered_map<std::vector<double>,
-                     std::shared_ptr<const linalg::Vector>, KeyHash, KeyEq>
-      local_b;
-  std::unordered_map<double, std::shared_ptr<const IntervalFactors>>
-      local_intervals;
-  std::unordered_map<double, std::shared_ptr<const linalg::Vector>>
-      local_resolvents;
-  local_b.reserve(64);
-  local_intervals.reserve(64);
-  local_resolvents.reserve(8);
-
-  // One modal boundary per row: batch-major SoA so the back-transform below
-  // is a single packed GEMM over contiguous rows.
-  linalg::Matrix y(count, n);
-  for (std::size_t idx = 0; idx < count; ++idx) {
-    const sched::PeriodicSchedule& s = schedules[idx];
-    double* y_row = y.row_data(idx);
-    for (const auto& interval : s.state_intervals()) {
-      auto b_it = local_b.find(interval.voltages);
-      if (b_it == local_b.end())
-        b_it = local_b
-                   .emplace(std::vector<double>(interval.voltages.begin(),
-                                                interval.voltages.end()),
-                            modal_b(interval.voltages))
-                   .first;
-      auto f_it = local_intervals.find(interval.length);
-      if (f_it == local_intervals.end())
-        f_it = local_intervals
-                   .emplace(interval.length, interval_factors(interval.length))
-                   .first;
-      kern.modal_step(n, f_it->second->exp(), f_it->second->phi(),
-                      b_it->second->data(), y_row);
-    }
-    auto r_it = local_resolvents.find(s.period());
-    if (r_it == local_resolvents.end())
-      r_it = local_resolvents
-                 .emplace(s.period(), resolvent_factors(s.period()))
-                 .first;
-    kern.hadamard_scale(n, r_it->second->data(), y_row);
-  }
-
-  // Fused back-transform: R = W_die · Yᵀ is cores × count; column idx is
-  // candidate idx's die rises.  multiply_transposed_rhs computes each entry
-  // with the canonical dot kernel, exactly as the single-candidate gemv
-  // does, so batching cannot move a bit.
-  const linalg::Matrix r = linalg::multiply_transposed_rhs(w_die_, y);
+  Batch batch(*this);
+  for (std::size_t idx = 0; idx < count; ++idx) batch.add(schedules[idx]);
+  batch.finish();
   const std::size_t cores = w_die_.rows();
   for (std::size_t idx = 0; idx < count; ++idx) {
     linalg::Vector out(cores);
-    for (std::size_t core = 0; core < cores; ++core) out[core] = r(core, idx);
+    std::copy_n(batch.core_rises(idx), cores, out.data());
     rises[idx] = std::move(out);
   }
   return rises;
+}
+
+ModalEvaluator::Batch::Batch(const ModalEvaluator& evaluator)
+    : evaluator_(&evaluator) {
+  b_.reserve(64);
+  factors_.reserve(64);
+  resolvents_.reserve(8);
+}
+
+void ModalEvaluator::Batch::add(const sched::PeriodicSchedule& s) {
+  const ModalEvaluator& ev = *evaluator_;
+  const std::size_t n = ev.model_->spectral().size();
+  const linalg::simd::Kernels& kern = linalg::simd::kernels();
+  if (rows_ == y_.rows()) {
+    // Grow geometrically, carrying the rows already evaluated.
+    linalg::Matrix grown(std::max<std::size_t>(8, 2 * rows_), n);
+    if (rows_ > 0)
+      std::copy_n(y_.row_data(0), rows_ * n, grown.row_data(0));
+    y_ = std::move(grown);
+  }
+  double* y_row = y_.row_data(rows_);
+  std::fill_n(y_row, n, 0.0);  // ambient start
+  s.state_intervals_into(intervals_);
+  // The views are bounded like the memos behind them; on overflow they are
+  // simply dropped and refilled from the evaluator.
+  if (b_.size() >= kMaxCacheEntries) b_.clear();
+  if (factors_.size() >= kMaxCacheEntries) factors_.clear();
+  if (resolvents_.size() >= kMaxCacheEntries) resolvents_.clear();
+  for (std::size_t k = 0; k < intervals_.size(); ++k) {
+    const KeyView voltages{intervals_.voltages(k), intervals_.num_cores()};
+    auto b_it = b_.find(voltages);
+    if (b_it == b_.end())
+      b_it = b_.emplace(std::vector<double>(voltages.data,
+                                            voltages.data + voltages.size),
+                        ev.modal_b(voltages))
+                 .first;
+    const double length = intervals_.length(k);
+    auto f_it = factors_.find(length);
+    if (f_it == factors_.end())
+      f_it = factors_.emplace(length, ev.interval_factors(length)).first;
+    kern.modal_step(n, f_it->second->exp(), f_it->second->phi(),
+                    b_it->second->data(), y_row);
+  }
+  auto r_it = resolvents_.find(s.period());
+  if (r_it == resolvents_.end())
+    r_it =
+        resolvents_.emplace(s.period(), ev.resolvent_factors(s.period())).first;
+  kern.hadamard_scale(n, r_it->second->data(), y_row);
+  ++rows_;
+}
+
+void ModalEvaluator::Batch::finish() {
+  if (rows_ == 0) return;
+  const linalg::Matrix& w_die = evaluator_->w_die_;
+  if (rises_.rows() < y_.rows())
+    rises_ = linalg::Matrix(y_.rows(), w_die.rows());
+  // R = Y · W_dieᵀ: entry (i, core) is the canonical dot of boundary row i
+  // with die row `core`, the same products and accumulation order as the
+  // single-candidate gemv W_die · y.
+  linalg::simd::kernels().mtr(rows_, w_die.rows(), w_die.cols(),
+                              y_.row_data(0), y_.cols(), w_die.row_data(0),
+                              w_die.cols(), rises_.row_data(0),
+                              rises_.cols());
 }
 
 std::size_t ModalEvaluator::cache_entries() const {

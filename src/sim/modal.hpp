@@ -79,17 +79,12 @@ class ModalEvaluator {
       const sched::PeriodicSchedule& s) const;
 
   /// Stable-boundary die rises for `count` schedules in one pass,
-  /// bit-identical to calling stable_core_rises on each.  Two batch
-  /// economies: (a) factor lookups go through batch-local caches, so the
-  /// global memo mutex is taken once per *distinct* voltage state, interval
-  /// length, and period across the whole batch instead of twice per interval
-  /// per candidate; (b) the per-candidate back-transforms fuse into one
-  /// packed GEMM W_die · Yᵀ over the row-per-candidate boundary matrix Y,
-  /// which the SIMD micro-tile kernel amortizes across four candidates per
-  /// W-row load.  Per element it is the same dot kernel as the single-
-  /// candidate gemv, hence the bit-identity.
+  /// bit-identical to calling stable_core_rises on each.  A thin wrapper
+  /// over one Batch (below), which documents the batch economies.
   [[nodiscard]] std::vector<linalg::Vector> batch_stable_core_rises(
       const sched::PeriodicSchedule* schedules, std::size_t count) const;
+
+  class Batch;
 
   /// Die-node rises from an already-computed modal vector.
   [[nodiscard]] linalg::Vector core_rises_from_modal(
@@ -152,36 +147,107 @@ class ModalEvaluator {
   // Voltage vectors are memo keys by exact bit pattern: planners construct
   // them from the same level doubles every time, so exact equality is the
   // right notion (a vector differing in one ulp is simply a fresh entry).
-  // The hash and equality are transparent over linalg::Vector so the hit
-  // path never materializes a key (C++20 heterogeneous lookup).
+  // The hash and equality are transparent over linalg::Vector and over a
+  // raw row of an IntervalBuffer, so the hit path never materializes a key
+  // (C++20 heterogeneous lookup).
+  struct KeyView {
+    const double* data;
+    std::size_t size;
+  };
+  static KeyView view(KeyView key) { return key; }
+  static KeyView view(const std::vector<double>& key) {
+    return {key.data(), key.size()};
+  }
+  static KeyView view(const linalg::Vector& key) {
+    return {key.data(), key.size()};
+  }
   struct KeyHash {
     using is_transparent = void;
-    std::size_t operator()(const std::vector<double>& key) const;
-    std::size_t operator()(const linalg::Vector& key) const;
+    template <typename Key>
+    std::size_t operator()(const Key& key) const {
+      return hash(view(key));
+    }
+    static std::size_t hash(KeyView key);
   };
   struct KeyEq {
     using is_transparent = void;
-    bool operator()(const std::vector<double>& a,
-                    const std::vector<double>& b) const;
-    bool operator()(const std::vector<double>& a,
-                    const linalg::Vector& b) const;
-    bool operator()(const linalg::Vector& a,
-                    const std::vector<double>& b) const;
+    template <typename A, typename B>
+    bool operator()(const A& a, const B& b) const {
+      return equal(view(a), view(b));
+    }
+    static bool equal(KeyView a, KeyView b);
   };
+  using VoltageMemo =
+      std::unordered_map<std::vector<double>,
+                         std::shared_ptr<const linalg::Vector>, KeyHash, KeyEq>;
+
+  /// modal_b over a raw voltage row (the batch pass's miss path).
+  [[nodiscard]] std::shared_ptr<const linalg::Vector> modal_b(
+      KeyView core_voltages) const;
 
   std::shared_ptr<const thermal::ThermalModel> model_;
   linalg::Matrix w_die_;  // die rows of spectral().w()
 
   mutable std::mutex cache_mutex_;
-  mutable std::unordered_map<std::vector<double>,
-                             std::shared_ptr<const linalg::Vector>, KeyHash,
-                             KeyEq>
-      cache_;
+  mutable VoltageMemo cache_;
   mutable std::unordered_map<double, std::shared_ptr<const linalg::Vector>>
       resolvent_cache_;
   mutable std::unordered_map<double, std::shared_ptr<const IntervalFactors>>
       interval_cache_;
   mutable std::uint64_t cache_hits_ = 0;
+};
+
+/// Incremental batch of stable-boundary die-rise evaluations on one
+/// evaluator.  add() runs a schedule's modal recurrence at once into the
+/// next row of a boundary block Y, so the caller may mutate and reuse the
+/// schedule right after; finish() back-transforms every row in one packed
+/// GEMM, Y · W_dieᵀ, and core_rises(i) then reads row i.  Each entry is the
+/// same canonical dot (with commuted, hence identical, products) as the
+/// single-candidate gemv, so every row is bit-identical to
+/// stable_core_rises on the same schedule.
+///
+/// Two economies make a candidate scan allocation-free once the batch has
+/// warmed up: (a) the intervals are merged into a reused IntervalBuffer
+/// and the Y and rise blocks keep their storage across clear(); (b) factor
+/// lookups go through batch-local views of the evaluator's memos, keyed by
+/// hashing the flat voltage row in place, so the global mutex is taken once
+/// per *distinct* voltage state, interval length and period for as long as
+/// the batch lives instead of twice per interval per candidate.  The views
+/// hold the same shared factor objects the single-candidate path uses, so
+/// nothing about the arithmetic changes.
+///
+/// Keep one per scanning thread for the length of a planning call; a batch
+/// is not safe to share between threads, and must not outlive its
+/// evaluator.
+class ModalEvaluator::Batch {
+ public:
+  explicit Batch(const ModalEvaluator& evaluator);
+
+  /// Forget the rows of the previous batch (storage and memo views stay).
+  void clear() { rows_ = 0; }
+  /// Evaluate `s` into the next boundary row.
+  void add(const sched::PeriodicSchedule& s);
+  /// Back-transform every row added since clear().
+  void finish();
+
+  /// num_cores() die rises of row i; valid from finish() until the next
+  /// clear() or add().
+  [[nodiscard]] const double* core_rises(std::size_t i) const {
+    FOSCIL_EXPECTS(i < rows_);
+    return rises_.row_data(i);
+  }
+
+ private:
+  const ModalEvaluator* evaluator_;
+  sched::IntervalBuffer intervals_;
+  VoltageMemo b_;
+  std::unordered_map<double, std::shared_ptr<const IntervalFactors>>
+      factors_;
+  std::unordered_map<double, std::shared_ptr<const linalg::Vector>>
+      resolvents_;
+  linalg::Matrix y_;      // capacity × n modal boundaries
+  linalg::Matrix rises_;  // capacity × cores die rises
+  std::size_t rows_ = 0;
 };
 
 }  // namespace foscil::sim

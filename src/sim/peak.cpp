@@ -1,5 +1,7 @@
 #include "sim/peak.hpp"
 
+#include <algorithm>
+
 namespace foscil::sim {
 
 PeakInfo step_up_peak(const SteadyStateAnalyzer& analyzer,
@@ -16,13 +18,19 @@ PeakInfo step_up_peak(const SteadyStateAnalyzer& analyzer,
 std::vector<PeakInfo> batch_step_up_peaks(
     const SteadyStateAnalyzer& analyzer,
     const std::vector<sched::PeriodicSchedule>& schedules) {
-  for (const auto& s : schedules) FOSCIL_EXPECTS(s.is_step_up());
-  const std::vector<linalg::Vector> rises =
-      analyzer.batch_stable_core_rises(schedules.data(), schedules.size());
+  RiseBatch batch(analyzer);
+  for (const auto& s : schedules) {
+    FOSCIL_EXPECTS(s.is_step_up());
+    batch.add(s);
+  }
+  batch.finish();
+  const std::size_t cores = analyzer.model().num_cores();
   std::vector<PeakInfo> peaks(schedules.size());
   for (std::size_t i = 0; i < schedules.size(); ++i) {
-    peaks[i].core = rises[i].argmax();
-    peaks[i].rise = rises[i][peaks[i].core];
+    const double* rises = batch.core_rises(i);
+    peaks[i].core = static_cast<std::size_t>(
+        std::max_element(rises, rises + cores) - rises);
+    peaks[i].rise = rises[peaks[i].core];
     peaks[i].time = schedules[i].period();
   }
   return peaks;

@@ -48,6 +48,36 @@ std::vector<linalg::Vector> SteadyStateAnalyzer::batch_stable_core_rises(
   return rises;
 }
 
+RiseBatch::RiseBatch(const SteadyStateAnalyzer& analyzer)
+    : analyzer_(&analyzer) {
+  if (analyzer.modal() != nullptr) modal_.emplace(*analyzer.modal());
+}
+
+void RiseBatch::clear() {
+  rows_ = 0;
+  if (modal_) modal_->clear();
+}
+
+void RiseBatch::add(const sched::PeriodicSchedule& s) {
+  if (modal_) {
+    modal_->add(s);
+  } else if (rows_ < reference_.size()) {
+    reference_[rows_] = analyzer_->stable_core_rises(s);
+  } else {
+    reference_.push_back(analyzer_->stable_core_rises(s));
+  }
+  ++rows_;
+}
+
+void RiseBatch::finish() {
+  if (modal_) modal_->finish();
+}
+
+const double* RiseBatch::core_rises(std::size_t i) const {
+  FOSCIL_EXPECTS(i < rows_);
+  return modal_ ? modal_->core_rises(i) : reference_[i].data();
+}
+
 std::vector<linalg::Vector> SteadyStateAnalyzer::stable_boundaries(
     const sched::PeriodicSchedule& s) const {
   const linalg::Vector start = stable_boundary(s);

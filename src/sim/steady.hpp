@@ -17,6 +17,8 @@
 // (the Theorem-2 audit certificates are always recomputed on it).
 #pragma once
 
+#include <optional>
+
 #include "sim/modal.hpp"
 #include "sim/transient.hpp"
 
@@ -75,6 +77,32 @@ class SteadyStateAnalyzer {
  private:
   TransientSimulator sim_;
   std::shared_ptr<const ModalEvaluator> modal_;  // null on kReference
+};
+
+/// Incremental stable-die-rise batch on either engine: add() evaluates a
+/// schedule at once (the caller may mutate it right after), finish() makes
+/// every row readable, and core_rises(i) is bit-identical to
+/// analyzer.stable_core_rises(schedule i).  On the modal engine this is a
+/// ModalEvaluator::Batch, whose storage and memo views survive clear(), so
+/// a planner keeps one per scanning thread for a whole run; the reference
+/// engine evaluates each schedule independently.  Not thread-safe, and must
+/// not outlive the analyzer.
+class RiseBatch {
+ public:
+  explicit RiseBatch(const SteadyStateAnalyzer& analyzer);
+
+  void clear();
+  void add(const sched::PeriodicSchedule& s);
+  void finish();
+
+  /// num_cores() die rises of row i (after finish()).
+  [[nodiscard]] const double* core_rises(std::size_t i) const;
+
+ private:
+  const SteadyStateAnalyzer* analyzer_;
+  std::optional<ModalEvaluator::Batch> modal_;
+  std::vector<linalg::Vector> reference_;  // rows on the reference engine
+  std::size_t rows_ = 0;
 };
 
 }  // namespace foscil::sim

@@ -88,6 +88,26 @@ TEST(AoOscillations, ScheduleBuilderProducesStepUpSubPeriod) {
   EXPECT_EQ(s.core_segments(1).size(), 1u);
 }
 
+TEST(Ao, StageTimesPartitionTheRun) {
+  const Platform platform = make_grid_platform(
+      4, 4, power::VoltageLevels::paper_table4(2));
+  const detail::AoInternal run =
+      detail::run_ao_internal(platform, 55.0, AoOptions{});
+  const detail::AoStages& stages = run.stages;
+  EXPECT_GT(stages.seed_s, 0.0);
+  EXPECT_GT(stages.m_search_s, 0.0);
+  EXPECT_GT(stages.tpt_s, 0.0);
+  EXPECT_GE(stages.final_peak_s, 0.0);
+  const double sum =
+      stages.seed_s + stages.m_search_s + stages.tpt_s + stages.final_peak_s;
+  EXPECT_NEAR(sum, run.result.seconds, 0.05 * run.result.seconds);
+  EXPECT_GE(stages.m_search_candidates,
+            static_cast<std::size_t>(AoOptions{}.m_search_patience));
+  EXPECT_GT(stages.tpt_candidates, 1u);  // the incumbent plus >= 1 scan
+  EXPECT_EQ(stages.m_search_candidates + stages.tpt_candidates,
+            run.result.evaluations);
+}
+
 TEST(Ao, MeetsTheConstraintExactly) {
   for (auto [rows, cols] : {std::pair<std::size_t, std::size_t>{1, 2},
                             {1, 3},

@@ -79,6 +79,36 @@ TEST(CancelPlanner, DeadlineFiringMidRunStopsAoPromptly) {
   }
 }
 
+TEST(CancelPlanner, DeadlineFiringMidTptStopsWithinOneBatch) {
+  // A fine ratio step makes the TPT scan ~90% of the plan, in tens of
+  // thousands of batches of one candidate per adjustable core.  A deadline
+  // armed halfway through the TPT stage of an identical uncancelled run
+  // must stop the serial default promptly: the overshoot past the deadline
+  // stays far below the TPT time still left (one batch is ~1/25000 of it;
+  // the bound leaves room for a loaded machine).
+  const core::Platform platform = core::make_grid_platform(
+      4, 4, power::VoltageLevels::paper_table4(2));
+  core::AoOptions options;
+  options.t_unit_fraction = 1e-4;
+  const core::detail::AoStages stages =
+      core::detail::run_ao_internal(platform, 55.0, options).stages;
+  ASSERT_GT(stages.tpt_s, 0.0);
+
+  CancelToken token;
+  options.cancel = &token;
+  const double fire_after_s =
+      stages.seed_s + stages.m_search_s + 0.5 * stages.tpt_s;
+  const Clock::time_point started = Clock::now();
+  const Clock::time_point deadline =
+      started + std::chrono::duration_cast<Clock::duration>(
+                    std::chrono::duration<double>(fire_after_s));
+  token.set_deadline(deadline);
+  EXPECT_THROW((void)core::run_ao(platform, 55.0, options), CancelledError);
+  const double overshoot_s =
+      std::chrono::duration<double>(Clock::now() - deadline).count();
+  EXPECT_LT(overshoot_s, 0.25 * stages.tpt_s);
+}
+
 TEST(CancelPlanner, UnfiredTokenLeavesAoBitIdenticalAcrossThreadCounts) {
   const core::Platform platform = platform_3x3();
   core::AoOptions plain;
