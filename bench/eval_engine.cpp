@@ -11,8 +11,9 @@
 //     LegacyModalEval below) vs the batched SoA pass at the best dispatch
 //     level — the per-candidate speedup this PR's kernel layer buys on top
 //     of the modal engine itself;
-//   * end-to-end run_ao plan latency with each engine, pinning that both
-//     engines settle on the same oscillation count m and throughput.  The
+//   * end-to-end AO plan latency with each engine (run_ao_internal on a
+//     reference or a modal analyzer), pinning that both engines settle on
+//     the same oscillation count m and throughput.  The
 //     reference engine's AO run is skipped above ~250 nodes and the modal
 //     engine's above ~400 (a 16x16 plan multiplies hundreds of cores by
 //     hundreds of TPT steps — the scaling story there is the per-candidate
@@ -30,7 +31,7 @@
 // when the CPU has AVX2, the batched SIMD path must evaluate candidates
 // >= 2x faster than the frozen pre-SIMD baseline.
 // The gate is engine-vs-engine on one thread of work, so it holds on a
-// single-core CI box; parallel-scan scaling is reported, never gated.
+// single-core CI box.
 //
 // --json PATH writes the measurements as the BENCH_eval.json perf record.
 #include <algorithm>
@@ -484,11 +485,12 @@ GridReport bench_grid(std::size_t rows, std::size_t cols, double eval_budget_s,
   report.ref_ao_run = report.nodes <= kMaxRefAoNodes;
   if (report.ref_ao_run) {
     std::fprintf(stderr, "  [%zux%zu] reference AO...\n", rows, cols);
-    core::AoOptions ref_options = options;
-    ref_options.eval_engine = sim::EvalEngine::kReference;
     const double t0 = now_s();
-    const core::SchedulerResult ref = core::run_ao(platform, kTMaxC,
-                                                   ref_options);
+    const sim::SteadyStateAnalyzer ref_analyzer(platform.model,
+                                                sim::EvalEngine::kReference);
+    const core::SchedulerResult ref =
+        core::detail::run_ao_internal(platform, kTMaxC, options, ref_analyzer)
+            .result;
     report.ref_ao_s = now_s() - t0;
     report.ref_m = ref.m;
     report.ref_throughput = ref.throughput;
@@ -498,11 +500,11 @@ GridReport bench_grid(std::size_t rows, std::size_t cols, double eval_budget_s,
   report.modal_ao_run = report.nodes <= kMaxModalAoNodes;
   if (report.modal_ao_run) {
     std::fprintf(stderr, "  [%zux%zu] modal AO...\n", rows, cols);
-    core::AoOptions modal_options = options;
-    modal_options.eval_engine = sim::EvalEngine::kModal;
     const double t0 = now_s();
-    const core::detail::AoInternal run =
-        core::detail::run_ao_internal(platform, kTMaxC, modal_options);
+    const sim::SteadyStateAnalyzer modal_analyzer(platform.model,
+                                                  sim::EvalEngine::kModal);
+    const core::detail::AoInternal run = core::detail::run_ao_internal(
+        platform, kTMaxC, options, modal_analyzer);
     report.modal_ao_s = now_s() - t0;
     const core::SchedulerResult& fast = run.result;
     report.modal_stages = run.stages;

@@ -46,10 +46,6 @@ struct Workload {
   int unique = 8;    ///< distinct T_max points
   int repeats = 32;  ///< how often each point recurs in the stream
   int clients = 8;   ///< concurrent client threads in the timed phase
-  /// Planner evaluation engine for every request (modal is the production
-  /// default; --engine reference re-baselines the pre-modal numbers so both
-  /// can be archived side by side).
-  sim::EvalEngine engine = sim::EvalEngine::kModal;
 };
 
 std::vector<serve::PlanRequest> unique_requests(const Workload& w) {
@@ -61,8 +57,6 @@ std::vector<serve::PlanRequest> unique_requests(const Workload& w) {
     request.platform = platform;
     request.t_max_c = 50.0 + 20.0 * static_cast<double>(i) /
                                  static_cast<double>(w.unique);
-    request.ao.eval_engine = w.engine;
-    request.pco.ao.eval_engine = w.engine;
     requests.push_back(std::move(request));
   }
   return requests;
@@ -178,7 +172,6 @@ void write_json(const char* path, const Workload& w, double serial_seconds,
       static_cast<double>(w.unique * w.repeats) / serial_seconds;
   std::fprintf(out, "{\n");
   std::fprintf(out, "  \"bench\": \"plan_throughput\",\n");
-  std::fprintf(out, "  \"engine\": \"%s\",\n", sim::eval_engine_name(w.engine));
   std::fprintf(out, "  \"platform\": \"grid%zux%zu\",\n", w.rows, w.cols);
   std::fprintf(out, "  \"levels\": %d,\n", w.levels);
   std::fprintf(out, "  \"unique_requests\": %d,\n", w.unique);
@@ -225,20 +218,9 @@ int main(int argc, char** argv) {
       save_snapshot = argv[++i];
     } else if (std::strcmp(argv[i], "--load-snapshot") == 0 && i + 1 < argc) {
       load_snapshot = argv[++i];
-    } else if (std::strcmp(argv[i], "--engine") == 0 && i + 1 < argc) {
-      const char* name = argv[++i];
-      if (std::strcmp(name, "modal") == 0) {
-        w.engine = sim::EvalEngine::kModal;
-      } else if (std::strcmp(name, "reference") == 0) {
-        w.engine = sim::EvalEngine::kReference;
-      } else {
-        std::fprintf(stderr, "unknown engine '%s'\n", name);
-        return 2;
-      }
     } else {
       std::fprintf(stderr,
                    "usage: %s [--smoke] [--json PATH] "
-                   "[--engine modal|reference] "
                    "[--save-snapshot PATH] [--load-snapshot PATH]\n",
                    argv[0]);
       return 2;
@@ -255,9 +237,8 @@ int main(int argc, char** argv) {
   bench::print_header("Plan-request throughput: serving stack vs serial",
                       "DESIGN.md §10 / EXPERIMENTS.md X8 (beyond the paper)");
   std::printf("workload: %d unique (platform, T_max) points x %d repeats, "
-              "%d client threads, grid %zux%zu, %d levels, %s engine\n",
-              w.unique, w.repeats, w.clients, w.rows, w.cols, w.levels,
-              sim::eval_engine_name(w.engine));
+              "%d client threads, grid %zux%zu, %d levels\n",
+              w.unique, w.repeats, w.clients, w.rows, w.cols, w.levels);
   std::printf("hardware concurrency: %u\n\n",
               std::thread::hardware_concurrency());
 

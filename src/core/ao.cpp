@@ -7,7 +7,6 @@
 #include "core/ideal.hpp"
 #include "sched/transforms.hpp"
 #include "sim/peak.hpp"
-#include "util/parallel_for.hpp"
 #include "util/stopwatch.hpp"
 
 namespace foscil::core {
@@ -134,49 +133,11 @@ double oscillation_throughput(const std::vector<CoreOscillation>& cores) {
   return total / static_cast<double>(cores.size());
 }
 
-/// Per-thread scan state, kept for a whole planning call so the scans
-/// allocate nothing per candidate: the rise batch (interval buffer, memo
-/// views, boundary block), a schedule to mutate into each candidate, and
-/// segment scratch.
-struct ScanWorker {
-  ScanWorker(const sim::SteadyStateAnalyzer& analyzer, std::size_t cores,
-             double period)
-      : batch(analyzer), schedule(cores, period) {}
-  sim::RiseBatch batch;
-  sched::PeriodicSchedule schedule;
-  std::vector<sched::Segment> segments;
-};
-
-/// Partition [0, count) into at most `workers.size()` contiguous chunks and
-/// run `body(worker, begin, end)` over them, chunk c on workers[c].  With
-/// one worker this is a plain call on the calling thread; otherwise the
-/// chunks fan out through parallel_for.  Each worker hands its chunk to its
-/// rise batch as one batch, and each index is computed exactly once, so
-/// results are independent of the worker count even though the chunk
-/// boundaries move with it.
-template <typename Body>
-void scan_chunks(std::size_t count, std::vector<ScanWorker>& workers,
-                 const Body& body) {
-  if (count == 0) return;
-  if (workers.size() == 1) {
-    body(workers.front(), 0, count);
-    return;
-  }
-  const std::size_t chunk = (count + workers.size() - 1) / workers.size();
-  const std::size_t n_chunks = (count + chunk - 1) / chunk;
-  parallel_for(
-      n_chunks,
-      [&](std::size_t c) {
-        const std::size_t begin = c * chunk;
-        body(workers[c], begin, std::min(count, begin + chunk));
-      },
-      static_cast<unsigned>(workers.size()));
-}
-
 }  // namespace
 
 AoInternal run_ao_internal(const Platform& platform, double t_max_c,
-                           const AoOptions& options) {
+                           const AoOptions& options,
+                           const sim::SteadyStateAnalyzer& analyzer) {
   FOSCIL_EXPECTS(options.base_period > 0.0);
   FOSCIL_EXPECTS(options.transition_overhead >= 0.0);
   FOSCIL_EXPECTS(options.t_unit_fraction > 0.0 &&
@@ -187,12 +148,8 @@ AoInternal run_ao_internal(const Platform& platform, double t_max_c,
       platform.rise_budget(t_max_c) - options.t_max_margin;
   FOSCIL_EXPECTS(rise_target > 0.0);
   const auto& model = *platform.model;
-  const sim::SteadyStateAnalyzer analyzer(platform.model,
-                                          options.eval_engine);
+  FOSCIL_EXPECTS(&analyzer.model() == &model);
   const double tau = options.transition_overhead;
-  const auto cancelled = [&] {
-    return options.cancel != nullptr && options.cancel->cancelled();
-  };
   const auto throw_if_cancelled = [&] {
     if (options.cancel != nullptr) options.cancel->throw_if_cancelled();
   };
@@ -205,18 +162,12 @@ AoInternal run_ao_internal(const Platform& platform, double t_max_c,
   std::vector<CoreOscillation> cores = detail::make_oscillations(
       ideal.voltages, platform.levels, options.mode_choice);
   const std::size_t num_cores = cores.size();
-  // Scans run on the calling thread unless the caller asks for more
-  // (AoOptions::scan_threads gives the measurements).  No scan holds more
-  // candidates than the m-search block or the core count, so more workers
-  // than that would never get a chunk.
-  const int block = std::max(1, options.m_search_patience);
-  const std::size_t scan_threads = std::min<std::size_t>(
-      options.scan_threads == 0 ? 1 : options.scan_threads,
-      std::max(num_cores, static_cast<std::size_t>(block)));
-  std::vector<ScanWorker> workers;
-  workers.reserve(scan_threads);
-  for (std::size_t w = 0; w < scan_threads; ++w)
-    workers.emplace_back(analyzer, num_cores, options.base_period);
+  // Scan state kept for the whole run, so the scans allocate nothing per
+  // candidate: the rise batch (interval buffer, memo views, boundary
+  // block), a schedule to mutate into each candidate, and segment scratch.
+  sim::RiseBatch batch(analyzer);
+  sched::PeriodicSchedule candidate(num_cores, options.base_period);
+  std::vector<sched::Segment> segments;
   double stage_start = timer.seconds();
   stages.seed_s = stage_start;
 
@@ -228,45 +179,34 @@ AoInternal run_ao_internal(const Platform& platform, double t_max_c,
   int best_m = 1;
   double best_peak = std::numeric_limits<double>::infinity();
   {
-    // Evaluate the m window in fixed-size blocks so candidates can run
-    // concurrently while reproducing the sequential early-stop rule exactly:
-    // block size depends only on the patience knob (never on the thread
-    // count), each candidate is independent, and the patience fold walks the
-    // block in ascending m — so the chosen m is identical for any
-    // scan_threads.  A stop mid-block wastes at most patience-1 evaluations.
-    std::vector<double> peaks(static_cast<std::size_t>(block));
+    // Evaluate the m window in blocks of m_search_patience candidates, one
+    // rise batch each, while reproducing the sequential early-stop rule
+    // exactly: the patience fold walks the block in ascending m, so a stop
+    // mid-block wastes at most patience-1 evaluations and changes nothing.
+    const int block = std::max(1, options.m_search_patience);
     int stale = 0;
     int next = 1;
     bool stop = false;
     while (!stop && next <= bound) {
-      const int count = std::min(block, bound - next + 1);
-      scan_chunks(
-          static_cast<std::size_t>(count), workers,
-          [&](ScanWorker& worker, std::size_t begin, std::size_t end) {
-            // Cancellation check point: between chunks, never inside the
-            // evaluation.  A fired token skips the remaining chunks (the
-            // results are discarded by the throw below).
-            if (cancelled()) return;
-            worker.batch.clear();
-            for (std::size_t i = begin; i < end; ++i) {
-              detail::build_oscillating_schedule(
-                  cores, options.base_period, next + static_cast<int>(i),
-                  tau, worker.schedule, worker.segments);
-              // Theorem 1 puts the peak at the period end.
-              FOSCIL_EXPECTS(worker.schedule.is_step_up());
-              worker.batch.add(worker.schedule);
-            }
-            worker.batch.finish();
-            for (std::size_t i = begin; i < end; ++i) {
-              const double* rises = worker.batch.core_rises(i - begin);
-              peaks[i] = *std::max_element(rises, rises + num_cores);
-            }
-          });
+      // Cancellation check point: between batches, never inside the
+      // evaluation.
       throw_if_cancelled();
+      const int count = std::min(block, bound - next + 1);
+      batch.clear();
+      for (int i = 0; i < count; ++i) {
+        detail::build_oscillating_schedule(cores, options.base_period,
+                                           next + i, tau, candidate, segments);
+        // Theorem 1 puts the peak at the period end.
+        FOSCIL_EXPECTS(candidate.is_step_up());
+        batch.add(candidate);
+      }
+      batch.finish();
       stages.m_search_candidates += static_cast<std::size_t>(count);
       for (int i = 0; i < count && !stop; ++i) {
-        if (peaks[static_cast<std::size_t>(i)] < best_peak - 1e-12) {
-          best_peak = peaks[static_cast<std::size_t>(i)];
+        const double* rises = batch.core_rises(static_cast<std::size_t>(i));
+        const double peak = *std::max_element(rises, rises + num_cores);
+        if (peak < best_peak - 1e-12) {
+          best_peak = peak;
           best_m = next + i;
           stale = 0;
         } else if (++stale >= options.m_search_patience) {
@@ -281,22 +221,20 @@ AoInternal run_ao_internal(const Platform& platform, double t_max_c,
 
   // Step 4: TPT-guided ratio reduction until the peak obeys the budget.
   // The incumbent schedule is built once; a candidate that lowers core j's
-  // ratio differs from it only in core j's cycle, so each worker mutates a
-  // copy of the incumbent into the candidate and back, and the winner's
+  // ratio differs from it only in core j's cycle, so the scan mutates a
+  // copy of the incumbent into each candidate and back, and the winner's
   // cycle is written into the incumbent — every core's cycle depends on
   // that core alone, so this is bit-identical to rebuilding the schedule.
   const double u = options.t_unit_fraction;  // ratio step (t_unit / t_p)
   const double tolerance = rise_target * 1e-9;
   const double sub_period = options.base_period / static_cast<double>(best_m);
   sched::PeriodicSchedule incumbent(num_cores, sub_period);
-  std::vector<sched::Segment> segments;
   detail::build_oscillating_schedule(cores, options.base_period, best_m, tau,
                                      incumbent, segments);
   linalg::Vector core_rises = analyzer.stable_core_rises(incumbent);
   ++stages.tpt_candidates;
   std::vector<std::size_t> scan;
   scan.reserve(num_cores);
-  linalg::Matrix scan_rises(num_cores, num_cores);  // row i: candidate i
   while (core_rises.max() > rise_target + tolerance) {
     throw_if_cancelled();
     const std::size_t hottest = core_rises.argmax();
@@ -313,35 +251,21 @@ AoInternal run_ao_internal(const Platform& platform, double t_max_c,
       scan.push_back(j);
     }
     if (scan.empty()) break;  // no adjustable core remains
-    scan_chunks(
-        scan.size(), workers,
-        [&](ScanWorker& worker, std::size_t begin, std::size_t end) {
-          if (cancelled()) return;  // between chunks; discarded below
-          sched::PeriodicSchedule& candidate = worker.schedule;
-          candidate = incumbent;  // reuses the worker's storage
-          worker.batch.clear();
-          for (std::size_t i = begin; i < end; ++i) {
-            const std::size_t j = scan[i];
-            CoreOscillation lowered = cores[j];
-            lowered.ratio_high = std::max(0.0, lowered.ratio_high - u);
-            detail::oscillation_segments(lowered, sub_period, tau,
-                                         worker.segments);
-            candidate.assign_core_segments(j, worker.segments);
-            worker.batch.add(candidate);
-            detail::oscillation_segments(cores[j], sub_period, tau,
-                                         worker.segments);
-            candidate.assign_core_segments(j, worker.segments);
-          }
-          worker.batch.finish();
-          for (std::size_t i = begin; i < end; ++i)
-            std::copy_n(worker.batch.core_rises(i - begin), num_cores,
-                        scan_rises.row_data(i));
-        });
-    throw_if_cancelled();
+    candidate = incumbent;  // reuses the candidate's storage
+    batch.clear();
+    for (const std::size_t j : scan) {
+      CoreOscillation lowered = cores[j];
+      lowered.ratio_high = std::max(0.0, lowered.ratio_high - u);
+      detail::oscillation_segments(lowered, sub_period, tau, segments);
+      candidate.assign_core_segments(j, segments);
+      batch.add(candidate);
+      detail::oscillation_segments(cores[j], sub_period, tau, segments);
+      candidate.assign_core_segments(j, segments);
+    }
+    batch.finish();
     stages.tpt_candidates += scan.size();
-    // Deterministic selection: fold in ascending-core order with the same
-    // strict `>` the sequential scan used, so the winner (and therefore the
-    // whole trajectory) is independent of the thread count.
+    // Fold in ascending-core order with a strict `>`: the lowest core wins
+    // a tie.
     double best_tpt = -1.0;
     std::size_t best_i = scan.size();
     for (std::size_t i = 0; i < scan.size(); ++i) {
@@ -351,7 +275,8 @@ AoInternal run_ao_internal(const Platform& platform, double t_max_c,
           (cores[j].v_high - cores[j].v_low) *
           (cores[j].ratio_high - new_ratio);
       if (speed_loss <= 0.0) continue;
-      const double delta_t = core_rises[hottest] - scan_rises(i, hottest);
+      const double delta_t =
+          core_rises[hottest] - batch.core_rises(i)[hottest];
       const double tpt = delta_t / speed_loss;
       if (tpt > best_tpt) {
         best_tpt = tpt;
@@ -364,7 +289,7 @@ AoInternal run_ao_internal(const Platform& platform, double t_max_c,
         std::max(0.0, cores[best_core].ratio_high - u);
     detail::oscillation_segments(cores[best_core], sub_period, tau, segments);
     incumbent.assign_core_segments(best_core, segments);
-    std::copy_n(scan_rises.row_data(best_i), num_cores, core_rises.data());
+    std::copy_n(batch.core_rises(best_i), num_cores, core_rises.data());
   }
   stages.tpt_s = timer.seconds() - stage_start;
   stage_start += stages.tpt_s;
@@ -390,7 +315,9 @@ AoInternal run_ao_internal(const Platform& platform, double t_max_c,
 
 SchedulerResult run_ao(const Platform& platform, double t_max_c,
                        const AoOptions& options) {
-  return detail::run_ao_internal(platform, t_max_c, options).result;
+  const sim::SteadyStateAnalyzer analyzer =
+      sim::planning_analyzer(platform.model);
+  return detail::run_ao_internal(platform, t_max_c, options, analyzer).result;
 }
 
 }  // namespace foscil::core

@@ -22,7 +22,7 @@
 
 #include "core/platform.hpp"
 #include "core/result.hpp"
-#include "sim/modal.hpp"
+#include "sim/steady.hpp"
 #include "util/cancel.hpp"
 
 namespace foscil::core {
@@ -54,30 +54,13 @@ struct AoOptions {
   /// T_max - t_max_margin.  The closed-loop guard (core/guard.hpp) derives
   /// this from a fault/uncertainty set; 0 reproduces the paper exactly.
   double t_max_margin = 0.0;
-  /// Candidate-evaluation engine (sim/modal.hpp).  The modal diagonal
-  /// recurrence is the default; the reference dense walk stays available for
-  /// differential testing and as the independently-coded cross-check.
-  /// Changes per-candidate arithmetic order, so results may differ from the
-  /// reference engine in the last ulps — the serve cache hashes this knob.
-  sim::EvalEngine eval_engine = sim::EvalEngine::kModal;
-  /// Worker threads for the m-search window and the TPT candidate scan.
-  /// 0 = automatic, which is serial: a candidate costs a few microseconds
-  /// and a scan holds at most one per core, so splitting a scan across
-  /// threads lost through 4x4 and saved about a tenth of a seed-dominated
-  /// 6x6 or 8x8 plan on an idle host (EXPERIMENTS.md X11) — and a
-  /// planning service already runs plans concurrently on its workers.  An
-  /// explicit value > 1 splits each scan into that many chunks via
-  /// parallel_for.  The thread count never changes the chosen plan:
-  /// candidates are evaluated independently and reduced in deterministic
-  /// index order, so any value yields bit-identical results.
-  unsigned scan_threads = 0;
   /// Cooperative cancellation (util/cancel.hpp).  Polled *between*
   /// candidate batches in the m-search and TPT scans (a batch holds at most
   /// m_search_patience candidates, or one per core) — never inside the
   /// numerics — so a fired token stops the run within one batch and a run
   /// that finishes is bit-identical to one planned with no token.
-  /// Raises CancelledError.  Not hashed by the serve cache key (like
-  /// scan_threads, it cannot change a completed plan).
+  /// Raises CancelledError.  Not hashed by the serve cache key (it cannot
+  /// change a completed plan).
   const CancelToken* cancel = nullptr;
 };
 
@@ -159,9 +142,14 @@ struct AoInternal {
   AoStages stages;
 };
 
-[[nodiscard]] AoInternal run_ao_internal(const Platform& platform,
-                                         double t_max_c,
-                                         const AoOptions& options);
+/// run_ao on a caller-supplied analyzer, which must be built on
+/// platform.model.  run_ao passes a modal-engine analyzer; PCO passes the
+/// analyzer it also samples with, and the differential tests pass a
+/// reference-engine one, so the dense walk stays an oracle for the planner
+/// without being a planner option.
+[[nodiscard]] AoInternal run_ao_internal(
+    const Platform& platform, double t_max_c, const AoOptions& options,
+    const sim::SteadyStateAnalyzer& analyzer);
 
 }  // namespace detail
 

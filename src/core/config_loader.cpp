@@ -150,19 +150,6 @@ AoOptions ao_options_from_config(const Config& config) {
                                               options.t_max_margin);
   if (options.t_max_margin < 0.0)
     reject("ao.t_max_margin_k", "must be >= 0");
-  if (config.has("ao.eval_engine")) {
-    const std::string engine = config.get_string("ao.eval_engine");
-    if (engine == "modal")
-      options.eval_engine = sim::EvalEngine::kModal;
-    else if (engine == "reference")
-      options.eval_engine = sim::EvalEngine::kReference;
-    else
-      reject("ao.eval_engine", "must be 'modal' or 'reference'");
-  }
-  const long scan_threads =
-      config.get_int_or("ao.scan_threads", options.scan_threads);
-  if (scan_threads < 0) reject("ao.scan_threads", "must be >= 0");
-  options.scan_threads = static_cast<unsigned>(scan_threads);
   // SIMD dispatch is a process-wide kernel-table selection, not a per-run
   // option struct field: every engine (modal, reference, EXS) reads the
   // same table.  The config key overrides the FOSCIL_SIMD environment
@@ -391,7 +378,7 @@ const char* const kKnownKeys[] = {
     "power.alpha", "power.beta", "power.gamma", "power.alpha_per_core",
     "power.beta_per_core", "power.gamma_per_core",
     "ao.base_period_ms", "ao.tau_us", "ao.t_unit_fraction", "ao.max_m",
-    "ao.t_max_margin_k", "ao.eval_engine", "ao.scan_threads",
+    "ao.t_max_margin_k",
     "sim.simd",
     "run.t_max_c",
     "faults.intensity", "faults.seed", "faults.sensor_bias_k",

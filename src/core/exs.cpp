@@ -12,7 +12,7 @@ namespace foscil::core {
 
 namespace {
 
-/// Full recompute cadence of the incremental (modal) evaluation: at most
+/// Full recompute cadence of the incremental evaluation: at most
 /// this many O(N) delta folds happen between O(N²) refreshes, bounding the
 /// accumulated roundoff at a few thousand ulps — orders of magnitude below
 /// the 1e-12 relative feasibility tolerance.
@@ -79,7 +79,6 @@ SchedulerResult run_exs(const Platform& platform, double t_max_c,
 
   const linalg::simd::Kernels& kern = linalg::simd::kernels();
 
-  const bool modal = options.eval_engine == sim::EvalEngine::kModal;
   const unsigned threads =
       options.threads == 0 ? hardware_parallelism() : options.threads;
   const std::size_t chunks = std::min<std::uint64_t>(
@@ -105,8 +104,8 @@ SchedulerResult run_exs(const Platform& platform, double t_max_c,
         linalg::Vector temps(cores);
         double speed_sum = 0.0;
         // Recompute temps and the speed sum from the digits alone — the
-        // start-of-chunk state and the periodic drift reset of the
-        // incremental path.
+        // start-of-chunk state, the exact confirm of a near-budget
+        // candidate, and the periodic drift reset.
         const auto refresh = [&] {
           speed_sum = 0.0;
           for (std::size_t c = 0; c < cores; ++c) {
@@ -116,14 +115,14 @@ SchedulerResult run_exs(const Platform& platform, double t_max_c,
           for (std::size_t r = 0; r < cores; ++r)
             temps[r] = kern.dot(m_dd.row_data(r), psi.data(), cores);
         };
-        if (modal) refresh();
+        refresh();
         std::uint64_t since_refresh = 0;
         const double threshold = rise_target * (1.0 + 1e-12);
         // Incremental temps drift by a few thousand ulps between refreshes;
         // any candidate within this slack of the budget is re-evaluated
         // exactly before the feasibility test, so the accepted set (and the
-        // winner) is bit-identical to the reference engine — independent of
-        // chunk layout and thread count.
+        // winner) is bit-identical to evaluating every candidate exactly —
+        // independent of chunk layout and thread count.
         const double slack = rise_target * 1e-6;
         for (std::uint64_t idx = begin; idx < end; ++idx) {
           // Poll the token between candidates; a fired token abandons the
@@ -133,13 +132,9 @@ SchedulerResult run_exs(const Platform& platform, double t_max_c,
               (idx - begin) % kCancelCheckInterval == 0 &&
               options.cancel->cancelled())
             return acc;
-          if (modal) {
-            if (temps.max() <= threshold + slack) {
-              refresh();  // exact confirm; also resets the drift
-              since_refresh = 0;
-            }
-          } else {
-            refresh();
+          if (temps.max() <= threshold + slack) {
+            refresh();  // exact confirm; also resets the drift
+            since_refresh = 0;
           }
           const double peak = temps.max();
           if (peak <= threshold) {
@@ -148,23 +143,21 @@ SchedulerResult run_exs(const Platform& platform, double t_max_c,
             Candidate candidate{throughput, peak, idx, digits};
             if (candidate.better_than(acc)) acc = std::move(candidate);
           }
-          // Advance the odometer; on the fast path each changed digit folds
-          // its steady contribution column into temps (amortized one digit
-          // per step, so O(N) instead of the N x N mat-vec).
+          // Advance the odometer; each changed digit folds its steady
+          // contribution column into temps (amortized one digit per step,
+          // so O(N) instead of the N x N mat-vec).
           for (std::size_t c = 0; c < cores; ++c) {
             const std::size_t old = digits[c];
             const std::size_t fresh = old + 1 < num_levels ? old + 1 : 0;
             digits[c] = fresh;
-            if (modal) {
-              kern.axpy(cores, psi_of(c, fresh) - psi_of(c, old),
-                        m_dd_t.row_data(c), temps.data());
-              speed_sum += levels[fresh] - levels[old];
-            }
+            kern.axpy(cores, psi_of(c, fresh) - psi_of(c, old),
+                      m_dd_t.row_data(c), temps.data());
+            speed_sum += levels[fresh] - levels[old];
             if (fresh != 0) break;  // no carry
           }
           // Incremental updates accumulate roundoff; a periodic full
           // recompute keeps the drift far below the feasibility tolerance.
-          if (modal && ++since_refresh >= kRefreshInterval) {
+          if (++since_refresh >= kRefreshInterval) {
             refresh();
             since_refresh = 0;
           }

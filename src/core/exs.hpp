@@ -4,16 +4,19 @@
 // core, keeps the feasible assignment with the highest total speed
 // (ties broken toward the cooler chip).  Each candidate needs one
 // steady-state evaluation T_inf = (G - beta E)^{-1} Psi(v); the die-block of
-// that inverse is precomputed once so a candidate costs one N x N mat-vec.
-// The exponential enumeration is the paper's scalability strawman — kept
-// faithful (no pruning), but partitioned across threads.
+// that inverse is precomputed once, and the odometer walk updates the
+// temperatures incrementally: one contribution column per changed digit
+// (amortized O(N) per candidate, with a periodic full recompute bounding
+// drift), and any candidate near the budget is re-evaluated exactly with
+// the N x N mat-vec before the feasibility test.  The exponential
+// enumeration is the paper's scalability strawman — kept faithful (no
+// pruning), but partitioned across threads.
 #pragma once
 
 #include <cstdint>
 
 #include "core/platform.hpp"
 #include "core/result.hpp"
-#include "sim/modal.hpp"
 #include "util/cancel.hpp"
 
 namespace foscil::core {
@@ -24,12 +27,6 @@ struct ExsOptions {
   /// accidental multi-hour run into an error the caller can handle.
   std::uint64_t max_candidates = 200'000'000;
   unsigned threads = 0;  ///< 0 = hardware default
-  /// kModal evaluates candidates incrementally: one precomputed steady
-  /// contribution column per changed odometer digit (amortized O(N) per
-  /// candidate, with a periodic full recompute bounding drift) instead of
-  /// the reference N x N mat-vec.  kReference keeps Algorithm 1's honest
-  /// per-candidate cost for timing comparisons.
-  sim::EvalEngine eval_engine = sim::EvalEngine::kModal;
   /// Cooperative cancellation (util/cancel.hpp): each enumeration chunk
   /// polls the token between candidates (every few thousand) and the run
   /// raises CancelledError once all chunks have stopped.  A run that is not

@@ -18,21 +18,22 @@ double mean_speed(const std::vector<CoreOscillation>& cores) {
 
 }  // namespace
 
-SchedulerResult run_pco(const Platform& platform, double t_max_c,
-                        const PcoOptions& options) {
+namespace detail {
+
+SchedulerResult run_pco_internal(const Platform& platform, double t_max_c,
+                                 const PcoOptions& options,
+                                 const sim::SteadyStateAnalyzer& analyzer) {
   FOSCIL_EXPECTS(options.phase_grid >= 2);
   FOSCIL_EXPECTS(options.phase_rounds >= 1);
   const Stopwatch timer;
   const double rise_target = platform.rise_budget(t_max_c);
-  // The phase search samples *interior* temperatures (sampled_peak), whose
-  // interval advances stay on the dense reference arithmetic; the modal
-  // engine still accelerates every stable_boundary solve underneath.
-  const sim::SteadyStateAnalyzer analyzer(platform.model,
-                                          options.ao.eval_engine);
   const double tau = options.ao.transition_overhead;
 
-  detail::AoInternal ao = detail::run_ao_internal(platform, t_max_c,
-                                                  options.ao);
+  // AO and the phase search share one analyzer, so the AO stage's memoized
+  // factors are reused (the memo stores exact values only, so sharing
+  // cannot move a bit).
+  detail::AoInternal ao =
+      detail::run_ao_internal(platform, t_max_c, options.ao, analyzer);
   std::vector<CoreOscillation> cores = ao.cores;
   const int m = ao.result.m;
   const double base_period = options.ao.base_period;
@@ -133,6 +134,18 @@ SchedulerResult run_pco(const Platform& platform, double t_max_c,
   result.evaluations = evaluations;
   result.seconds = timer.seconds();
   return result;
+}
+
+}  // namespace detail
+
+SchedulerResult run_pco(const Platform& platform, double t_max_c,
+                        const PcoOptions& options) {
+  // The phase search samples *interior* temperatures (sampled_peak), whose
+  // interval advances stay on the dense reference arithmetic; the modal
+  // engine still accelerates every stable_boundary solve underneath.
+  const sim::SteadyStateAnalyzer analyzer =
+      sim::planning_analyzer(platform.model);
+  return detail::run_pco_internal(platform, t_max_c, options, analyzer);
 }
 
 }  // namespace foscil::core

@@ -28,4 +28,14 @@ struct PcoOptions {
                                       double t_max_c,
                                       const PcoOptions& options = {});
 
+namespace detail {
+
+/// run_pco on a caller-supplied analyzer built on platform.model; AO's
+/// stage runs on the same analyzer (see detail::run_ao_internal).
+[[nodiscard]] SchedulerResult run_pco_internal(
+    const Platform& platform, double t_max_c, const PcoOptions& options,
+    const sim::SteadyStateAnalyzer& analyzer);
+
+}  // namespace detail
+
 }  // namespace foscil::core

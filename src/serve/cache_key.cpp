@@ -19,10 +19,13 @@ constexpr std::uint64_t kFnvPrime = 1099511628211ull;
 /// capped search options live under their own keys, so a degraded plan can
 /// never replace, alias, or be served in place of a full-quality entry.
 /// AoOptions also grew `cancel` (NOT hashed — like scan_threads, a token
-/// can only stop a run, never change a completed plan).  Snapshot format
-/// versioning is coupled to this constant: serve/snapshot.hpp must bump
-/// kSnapshotVersion whenever this changes.
-constexpr std::uint64_t kSchemaVersion = 3;
+/// can only stop a run, never change a completed plan).
+/// v4: eval_engine and scan_threads left AoOptions, and the engine word
+/// left the hash: every plan runs on the modal engine (the reference walk
+/// is an audit and test oracle only).  Snapshot format versioning is
+/// coupled to this constant: serve/snapshot.hpp must bump kSnapshotVersion
+/// whenever this changes.
+constexpr std::uint64_t kSchemaVersion = 4;
 
 [[nodiscard]] std::uint64_t splitmix(std::uint64_t x) noexcept {
   x += 0x9E3779B97F4A7C15ull;
@@ -112,8 +115,6 @@ void mix_ao_options(KeyHasher& hasher, const core::AoOptions& ao) {
   hasher.mix(static_cast<std::uint64_t>(ao.tpt_policy));
   hasher.mix(static_cast<std::uint64_t>(ao.mode_choice));
   hasher.mix_double(ao.t_max_margin);
-  hasher.mix(static_cast<std::uint64_t>(ao.eval_engine));
-  // ao.scan_threads deliberately unhashed; see kSchemaVersion.
 }
 
 }  // namespace

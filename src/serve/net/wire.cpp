@@ -342,7 +342,6 @@ std::string encode_plan_request(const WirePlanRequest& request) {
   w.u8(static_cast<std::uint8_t>(ao.tpt_policy));
   w.u8(static_cast<std::uint8_t>(ao.mode_choice));
   w.f64(ao.t_max_margin);
-  w.u8(static_cast<std::uint8_t>(ao.eval_engine));
   if (request.kind == PlannerKind::kPco) {
     w.u32(static_cast<std::uint32_t>(request.pco.phase_grid));
     w.u32(static_cast<std::uint32_t>(request.pco.phase_rounds));
@@ -390,10 +389,6 @@ WirePlanRequest decode_plan_request(const std::string& body) {
   ao.mode_choice = static_cast<core::ModeChoice>(mode);
   ao.t_max_margin = r.finite();
   if (ao.t_max_margin < 0.0) r.fail("negative T_max margin");
-  const std::uint8_t engine = r.u8();
-  if (engine > static_cast<std::uint8_t>(sim::EvalEngine::kModal))
-    r.fail("eval engine holds " + std::to_string(engine));
-  ao.eval_engine = static_cast<sim::EvalEngine>(engine);
 
   if (request.kind == PlannerKind::kAo) {
     request.ao = ao;

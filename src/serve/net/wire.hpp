@@ -29,7 +29,7 @@
 // frame-decoder fuzz battery (tests/serve/net/wire_fuzz_test.cpp) pins
 // this under ASan/UBSan.
 //
-// The PlanRequest body maps 1:1 onto cache-key schema v3 (see
+// The PlanRequest body maps 1:1 onto cache-key schema v4 (see
 // serve/cache_key.cpp): every input plan_key() hashes is either carried in
 // the body (t_max, planner kind, every AoOptions/PcoOptions field) or
 // pinned by the platform fingerprint the body leads with — the server
@@ -58,8 +58,9 @@ namespace foscil::serve::net {
 /// recompute, fleets roll forward).  History: v1 checksummed only the
 /// body; v2 extended coverage to the type/request-id/length header fields
 /// after the fault-injection battery showed a single bit flip in the type
-/// field could relabel a frame as another valid type.
-inline constexpr std::uint16_t kWireVersion = 2;
+/// field could relabel a frame as another valid type; v3 dropped the
+/// evaluation-engine byte from the PlanRequest body (cache-key schema v4).
+inline constexpr std::uint16_t kWireVersion = 3;
 
 inline constexpr char kFrameMagic[4] = {'F', 'P', 'L', 'N'};
 inline constexpr std::size_t kFrameHeaderSize = 4 + 2 + 2 + 8 + 4 + 8;
@@ -152,7 +153,7 @@ class FrameAssembler {
 
 // ---- frame bodies ----------------------------------------------------------
 
-/// kPlanRequest body.  Mirrors cache-key schema v3: the fingerprint pins
+/// kPlanRequest body.  Mirrors cache-key schema v4: the fingerprint pins
 /// (model, levels, ambient); the explicit fields carry everything else
 /// plan_key() hashes.  `deadline_s` is the client's *remaining* budget at
 /// send time (< 0: none) — the server re-anchors it on its own clock and

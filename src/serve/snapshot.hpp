@@ -49,8 +49,9 @@
 namespace foscil::serve {
 
 /// Current on-disk format version.  Bump on ANY layout change and whenever
-/// serve/cache_key.cpp bumps its key schema version.
-inline constexpr std::uint32_t kSnapshotVersion = 1;
+/// serve/cache_key.cpp bumps its key schema version.  v2 follows key
+/// schema v4 (the evaluation engine left the key).
+inline constexpr std::uint32_t kSnapshotVersion = 2;
 
 /// Everything a snapshot carries.
 struct SnapshotData {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <utility>
 
 namespace foscil::sim {
@@ -244,10 +245,15 @@ linalg::Vector FaultedPlant::read_sensors() {
   const linalg::Vector rises = true_model_->core_rises(temps_);
   const double drift = ambient_offset(now_);
   linalg::Vector seen(rises.size());
-  std::normal_distribution<double> noise(0.0, spec_.sensors.noise_sigma_k);
+  // One distribution per call, built only when there is noise: its
+  // precondition is stddev > 0, and a noise-free spec must not consume
+  // random numbers.
+  std::optional<std::normal_distribution<double>> noise;
+  if (spec_.sensors.noise_sigma_k > 0.0)
+    noise.emplace(0.0, spec_.sensors.noise_sigma_k);
   for (std::size_t i = 0; i < rises.size(); ++i) {
     double value = rises[i] + drift + spec_.sensors.bias_k;
-    if (spec_.sensors.noise_sigma_k > 0.0) value += noise(rng_.engine());
+    if (noise) value += (*noise)(rng_.engine());
     seen[i] = value;
   }
   for (std::size_t core : spec_.sensors.stuck_cores)

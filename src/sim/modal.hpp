@@ -43,8 +43,8 @@ namespace foscil::sim {
 
 /// Which arithmetic evaluates candidate schedules: the reference dense
 /// interval walk, or the modal diagonal recurrence.  Both compute the same
-/// quantities; planners expose the choice so differential tests can pin
-/// their agreement and benches can measure the gap.
+/// quantities.  The planners run on the modal engine; the reference walk
+/// backs the Theorem-2 audit, the differential tests and the engine bench.
 enum class EvalEngine {
   kReference,  ///< dense exp_apply/phi_apply per interval, O(k·n²)
   kModal,      ///< diagonal recurrence in eigen-coordinates, O(k·n + n²)

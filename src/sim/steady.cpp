@@ -11,6 +11,11 @@ SteadyStateAnalyzer::SteadyStateAnalyzer(
     modal_ = std::make_shared<const ModalEvaluator>(std::move(model));
 }
 
+SteadyStateAnalyzer planning_analyzer(
+    std::shared_ptr<const thermal::ThermalModel> model) {
+  return SteadyStateAnalyzer(std::move(model), EvalEngine::kModal);
+}
+
 linalg::Vector SteadyStateAnalyzer::resolvent_apply(
     double period, const linalg::Vector& x) const {
   FOSCIL_EXPECTS(period > 0.0);

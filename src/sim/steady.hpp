@@ -79,14 +79,19 @@ class SteadyStateAnalyzer {
   std::shared_ptr<const ModalEvaluator> modal_;  // null on kReference
 };
 
+/// The analyzer the planners (run_ao, run_pco) evaluate candidates on: the
+/// modal engine.  The reference walk is the audit and test oracle.
+[[nodiscard]] SteadyStateAnalyzer planning_analyzer(
+    std::shared_ptr<const thermal::ThermalModel> model);
+
 /// Incremental stable-die-rise batch on either engine: add() evaluates a
 /// schedule at once (the caller may mutate it right after), finish() makes
 /// every row readable, and core_rises(i) is bit-identical to
 /// analyzer.stable_core_rises(schedule i).  On the modal engine this is a
 /// ModalEvaluator::Batch, whose storage and memo views survive clear(), so
-/// a planner keeps one per scanning thread for a whole run; the reference
-/// engine evaluates each schedule independently.  Not thread-safe, and must
-/// not outlive the analyzer.
+/// a planner keeps one for a whole run; the reference engine evaluates each
+/// schedule independently.  Not thread-safe, and must not outlive the
+/// analyzer.
 class RiseBatch {
  public:
   explicit RiseBatch(const SteadyStateAnalyzer& analyzer);

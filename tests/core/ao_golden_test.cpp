@@ -1,8 +1,8 @@
 // Golden AO plans, pinned bit for bit: m, the evaluation count, and the bit
 // patterns of the throughput and the peak rise, as planned when candidate
 // scans still built every candidate schedule from scratch and fanned out
-// across threads.  The values must not move for any scan thread count, for
-// either ablation, for PCO (which continues from AO's internal state), or
+// across threads.  The values must not move for either ablation, for PCO
+// (which continues from AO's internal state on the same analyzer), or
 // under the forced-scalar kernels.
 #include <gtest/gtest.h>
 
@@ -50,12 +50,7 @@ class GoldenAo : public ::testing::TestWithParam<GoldenCase> {};
 TEST_P(GoldenAo, BitIdenticalForEveryThreadCountAndAblation) {
   const GoldenCase& c = GetParam();
   const Platform platform = paper_platform(4, 4, 2);
-  for (const unsigned threads : {0u, 1u, 4u}) {
-    SCOPED_TRACE(::testing::Message() << "scan_threads " << threads);
-    AoOptions options;
-    options.scan_threads = threads;
-    expect_golden(run_ao(platform, c.t_max_c, options), c.plan);
-  }
+  expect_golden(run_ao(platform, c.t_max_c), c.plan);
   {
     SCOPED_TRACE("kHottestCore");
     AoOptions options;
@@ -93,16 +88,12 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(GoldenAoPlans, ThreeLevelNeighboringAndExtremes) {
   // With three levels the extremes ablation really changes the mode pair.
   const Platform platform = paper_platform(4, 4, 3);
-  for (const unsigned threads : {0u, 4u}) {
-    SCOPED_TRACE(::testing::Message() << "scan_threads " << threads);
-    AoOptions options;
-    options.scan_threads = threads;
-    expect_golden(run_ao(platform, 55.0, options),
-                  {30, 14473, 0x3fe9624aaadc247eull, 0x4033ffac4adbfc4aull});
-    options.mode_choice = ModeChoice::kExtremes;
-    expect_golden(run_ao(platform, 55.0, options),
-                  {38, 40321, 0x3fe69edc7c2a604aull, 0x4033ff6b5e98e574ull});
-  }
+  AoOptions options;
+  expect_golden(run_ao(platform, 55.0, options),
+                {30, 14473, 0x3fe9624aaadc247eull, 0x4033ffac4adbfc4aull});
+  options.mode_choice = ModeChoice::kExtremes;
+  expect_golden(run_ao(platform, 55.0, options),
+                {38, 40321, 0x3fe69edc7c2a604aull, 0x4033ff6b5e98e574ull});
 }
 
 TEST(GoldenAoPlans, ForcedScalarKernelsPlanTheSameBits) {

@@ -91,8 +91,10 @@ TEST(AoOscillations, ScheduleBuilderProducesStepUpSubPeriod) {
 TEST(Ao, StageTimesPartitionTheRun) {
   const Platform platform = make_grid_platform(
       4, 4, power::VoltageLevels::paper_table4(2));
+  const sim::SteadyStateAnalyzer analyzer =
+      sim::planning_analyzer(platform.model);
   const detail::AoInternal run =
-      detail::run_ao_internal(platform, 55.0, AoOptions{});
+      detail::run_ao_internal(platform, 55.0, AoOptions{}, analyzer);
   const detail::AoStages& stages = run.stages;
   EXPECT_GT(stages.seed_s, 0.0);
   EXPECT_GT(stages.m_search_s, 0.0);

@@ -1,8 +1,8 @@
 // Cooperative cancellation of the planners: a fired token stops run_ao /
 // run_pco / run_exs with CancelledError, and a token that never fires
-// leaves the planned result bit-identical to a run with no token at all —
-// for any scan thread count, since the checks live between candidate
-// evaluations, never inside the numerics.
+// leaves the planned result bit-identical to a run with no token at all,
+// since the checks live between candidate evaluations, never inside the
+// numerics.
 #include <gtest/gtest.h>
 
 #include "core/ao.hpp"
@@ -90,8 +90,10 @@ TEST(CancelPlanner, DeadlineFiringMidTptStopsWithinOneBatch) {
       4, 4, power::VoltageLevels::paper_table4(2));
   core::AoOptions options;
   options.t_unit_fraction = 1e-4;
+  const sim::SteadyStateAnalyzer analyzer =
+      sim::planning_analyzer(platform.model);
   const core::detail::AoStages stages =
-      core::detail::run_ao_internal(platform, 55.0, options).stages;
+      core::detail::run_ao_internal(platform, 55.0, options, analyzer).stages;
   ASSERT_GT(stages.tpt_s, 0.0);
 
   CancelToken token;
@@ -109,22 +111,18 @@ TEST(CancelPlanner, DeadlineFiringMidTptStopsWithinOneBatch) {
   EXPECT_LT(overshoot_s, 0.25 * stages.tpt_s);
 }
 
-TEST(CancelPlanner, UnfiredTokenLeavesAoBitIdenticalAcrossThreadCounts) {
+TEST(CancelPlanner, UnfiredTokenLeavesAoBitIdentical) {
   const core::Platform platform = platform_3x3();
   core::AoOptions plain;
   const core::SchedulerResult reference = core::run_ao(platform, 55.0, plain);
 
-  for (unsigned threads : {1u, 4u}) {
-    CancelToken token;
-    token.set_deadline(Clock::now() + std::chrono::hours(1));
-    core::AoOptions with_token;
-    with_token.cancel = &token;
-    with_token.scan_threads = threads;
-    const core::SchedulerResult result =
-        core::run_ao(platform, 55.0, with_token);
-    EXPECT_TRUE(serve::plans_bit_identical(reference, result))
-        << "scan_threads = " << threads;
-  }
+  CancelToken token;
+  token.set_deadline(Clock::now() + std::chrono::hours(1));
+  core::AoOptions with_token;
+  with_token.cancel = &token;
+  const core::SchedulerResult result =
+      core::run_ao(platform, 55.0, with_token);
+  EXPECT_TRUE(serve::plans_bit_identical(reference, result));
 }
 
 TEST(CancelPlanner, UnfiredTokenLeavesPcoBitIdentical) {

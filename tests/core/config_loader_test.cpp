@@ -102,26 +102,22 @@ TEST(ConfigLoader, AoOptionsAndThreshold) {
 }
 
 TEST(ConfigLoader, AoEvalEngineAndScanThreads) {
-  // Default: modal engine, automatic thread fan-out.
-  const AoOptions defaults = ao_options_from_config(Config::parse(""));
-  EXPECT_EQ(defaults.eval_engine, sim::EvalEngine::kModal);
-  EXPECT_EQ(defaults.scan_threads, 0u);
-
-  const AoOptions reference = ao_options_from_config(
-      Config::parse("[ao]\neval_engine = reference\nscan_threads = 3\n"));
-  EXPECT_EQ(reference.eval_engine, sim::EvalEngine::kReference);
-  EXPECT_EQ(reference.scan_threads, 3u);
-
-  const AoOptions modal = ao_options_from_config(
-      Config::parse("[ao]\neval_engine = modal\n"));
-  EXPECT_EQ(modal.eval_engine, sim::EvalEngine::kModal);
-
-  EXPECT_THROW((void)ao_options_from_config(
-                   Config::parse("[ao]\neval_engine = fast\n")),
-               ConfigError);
-  EXPECT_THROW((void)ao_options_from_config(
-                   Config::parse("[ao]\nscan_threads = -2\n")),
-               ConfigError);
+  // Both keys are gone: every plan runs on the modal engine, serially.  A
+  // config that still sets them loads, and each key is reported once as
+  // unknown.
+  const Config c = Config::parse(
+      "[ao]\nmax_m = 64\neval_engine = reference\nscan_threads = 3\n");
+  EXPECT_EQ(ao_options_from_config(c).max_m, 64);
+  ::testing::internal::CaptureStderr();
+  const std::vector<std::string> warned = warn_unknown_config_keys(c);
+  const std::string log = ::testing::internal::GetCapturedStderr();
+  EXPECT_EQ(warned,
+            (std::vector<std::string>{"ao.eval_engine", "ao.scan_threads"}));
+  for (const char* key : {"ao.eval_engine", "ao.scan_threads"}) {
+    const std::size_t first = log.find(key);
+    ASSERT_NE(first, std::string::npos) << key;
+    EXPECT_EQ(log.find(key, first + 1), std::string::npos) << key;
+  }
 }
 
 TEST(ConfigLoader, MissingMandatoryKeysThrow) {

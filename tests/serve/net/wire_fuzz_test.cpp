@@ -141,9 +141,12 @@ TEST(WireFuzz, TightReceiverCapIsEnforced) {
 }
 
 TEST(WireFuzz, VersionSkewIsClassified) {
-  // Version 1 (the body-only-checksum ancestor) is skew like any other.
+  // Version 1 (the body-only-checksum ancestor) and version 2 (whose plan
+  // requests still carried the evaluation-engine byte) are skew like any
+  // other.
   for (const std::uint16_t version :
-       {std::uint16_t{0}, std::uint16_t{1}, std::uint16_t{0xFFFF}}) {
+       {std::uint16_t{0}, std::uint16_t{1}, std::uint16_t{2},
+        std::uint16_t{0xFFFF}}) {
     std::string frame = sample_frame();
     frame[4] = static_cast<char>(version & 0xFF);
     frame[5] = static_cast<char>(version >> 8);

@@ -27,7 +27,6 @@ WirePlanRequest sample_request() {
   request.ao.tpt_policy = core::TptPolicy::kHottestCore;
   request.ao.mode_choice = core::ModeChoice::kExtremes;
   request.ao.t_max_margin = 0.75;
-  request.ao.eval_engine = sim::EvalEngine::kModal;
   return request;
 }
 
@@ -78,7 +77,6 @@ TEST(WireCodec, PlanRequestRoundTripsEveryField) {
   EXPECT_EQ(decoded.ao.tpt_policy, request.ao.tpt_policy);
   EXPECT_EQ(decoded.ao.mode_choice, request.ao.mode_choice);
   EXPECT_EQ(decoded.ao.t_max_margin, request.ao.t_max_margin);
-  EXPECT_EQ(decoded.ao.eval_engine, request.ao.eval_engine);
 }
 
 TEST(WireCodec, PcoRequestCarriesItsOwnOptionBlock) {

@@ -171,6 +171,12 @@ TEST_F(SnapshotCorruption, FutureFormatVersionIsRejected) {
   bad[8] = static_cast<char>(0xE7);
   bad[9] = static_cast<char>(0x03);  // little-endian 999
   expect_rejected(bad, "future version");
+  // A version-1 snapshot keys its plans under cache-key schema v3, which
+  // still hashed the evaluation engine: reject, never migrate.
+  bad = good_;
+  bad[8] = 1;
+  bad[9] = 0;
+  expect_rejected(bad, "version 1");
 }
 
 TEST_F(SnapshotCorruption, NonZeroReservedFlagsAreRejected) {

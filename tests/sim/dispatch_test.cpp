@@ -153,9 +153,7 @@ core::SchedulerResult ao_under_level(Level level, std::size_t rows,
   const ScopedLevel forced(level);
   const auto platform =
       testing::grid_platform(rows, cols, {0.6, 0.8, 1.0, 1.3});
-  core::AoOptions options;
-  options.eval_engine = EvalEngine::kModal;
-  return core::run_ao(platform, t_max, options);
+  return core::run_ao(platform, t_max);
 }
 
 TEST(SimdDispatchDifferential, RunAoPlansBitIdenticalAcrossLevels) {

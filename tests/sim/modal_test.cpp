@@ -1,11 +1,14 @@
 // Differential battery for the modal evaluation engine (sim/modal.hpp):
 // every quantity the planners consume must match the reference dense walk
-// to roundoff, on randomized platforms and schedules, and the parallel
-// candidate scans must be bit-identical for any thread count.
+// to roundoff, on randomized platforms and schedules; AO and PCO planned on
+// a reference analyzer must agree with the modal plans; and EXS must pick
+// the winner of a brute-force enumeration for any thread count.
 #include "sim/modal.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -154,59 +157,38 @@ TEST(ModalEvaluator, ConcurrentEvaluationsAgree) {
 class EngineDifferential : public ::testing::Test {
  protected:
   EngineDifferential()
-      : platform_(testing::grid_platform(2, 2, {0.6, 0.8, 1.0, 1.3})) {}
+      : platform_(testing::grid_platform(2, 2, {0.6, 0.8, 1.0, 1.3})),
+        reference_(platform_.model, EvalEngine::kReference),
+        modal_(platform_.model, EvalEngine::kModal) {}
 
   core::Platform platform_;
+  SteadyStateAnalyzer reference_;
+  SteadyStateAnalyzer modal_;
 };
 
 TEST_F(EngineDifferential, RunAoAgreesAcrossEngines) {
-  core::AoOptions reference;
-  reference.eval_engine = EvalEngine::kReference;
-  core::AoOptions modal;
-  modal.eval_engine = EvalEngine::kModal;
   for (const double t_max : {50.0, 55.0, 60.0}) {
-    const auto ref = core::run_ao(platform_, t_max, reference);
-    const auto mod = core::run_ao(platform_, t_max, modal);
+    const auto ref =
+        core::detail::run_ao_internal(platform_, t_max, {}, reference_).result;
+    const auto mod =
+        core::detail::run_ao_internal(platform_, t_max, {}, modal_).result;
     EXPECT_EQ(mod.m, ref.m) << "t_max " << t_max;
     EXPECT_EQ(mod.feasible, ref.feasible) << "t_max " << t_max;
     EXPECT_NEAR(mod.throughput, ref.throughput, 1e-9) << "t_max " << t_max;
     EXPECT_NEAR(mod.peak_rise, ref.peak_rise, kAgreeTol) << "t_max " << t_max;
-  }
-}
-
-TEST_F(EngineDifferential, RunAoBitIdenticalAcrossThreadCounts) {
-  for (const auto engine : {EvalEngine::kReference, EvalEngine::kModal}) {
-    core::AoOptions serial;
-    serial.eval_engine = engine;
-    serial.scan_threads = 1;
-    core::AoOptions parallel = serial;
-    parallel.scan_threads = 4;
-    const auto a = core::run_ao(platform_, 55.0, serial);
-    const auto b = core::run_ao(platform_, 55.0, parallel);
-    EXPECT_EQ(b.m, a.m);
-    EXPECT_EQ(b.feasible, a.feasible);
-    EXPECT_EQ(b.throughput, a.throughput);  // bit-identical plan
-    EXPECT_EQ(b.peak_rise, a.peak_rise);
-    EXPECT_EQ(b.evaluations, a.evaluations);
-    for (std::size_t core = 0; core < platform_.num_cores(); ++core) {
-      const auto& sa = a.schedule.core_segments(core);
-      const auto& sb = b.schedule.core_segments(core);
-      ASSERT_EQ(sb.size(), sa.size());
-      for (std::size_t seg = 0; seg < sa.size(); ++seg) {
-        EXPECT_EQ(sb[seg].duration, sa[seg].duration);
-        EXPECT_EQ(sb[seg].voltage, sa[seg].voltage);
-      }
-    }
+    // run_ao is the modal plan, even on an analyzer whose memo is warm from
+    // the other thresholds (the memo stores exact values only).
+    const auto plain = core::run_ao(platform_, t_max);
+    EXPECT_EQ(plain.m, mod.m) << "t_max " << t_max;
+    EXPECT_EQ(plain.throughput, mod.throughput) << "t_max " << t_max;
+    EXPECT_EQ(plain.peak_rise, mod.peak_rise) << "t_max " << t_max;
   }
 }
 
 TEST_F(EngineDifferential, RunPcoAgreesAcrossEngines) {
-  core::PcoOptions reference;
-  reference.ao.eval_engine = EvalEngine::kReference;
-  core::PcoOptions modal;
-  modal.ao.eval_engine = EvalEngine::kModal;
-  const auto ref = core::run_pco(platform_, 55.0, reference);
-  const auto mod = core::run_pco(platform_, 55.0, modal);
+  const auto ref =
+      core::detail::run_pco_internal(platform_, 55.0, {}, reference_);
+  const auto mod = core::detail::run_pco_internal(platform_, 55.0, {}, modal_);
   EXPECT_EQ(mod.m, ref.m);
   EXPECT_EQ(mod.feasible, ref.feasible);
   EXPECT_NEAR(mod.throughput, ref.throughput, 1e-9);
@@ -214,27 +196,73 @@ TEST_F(EngineDifferential, RunPcoAgreesAcrossEngines) {
 }
 
 TEST_F(EngineDifferential, RunExsBitIdenticalAcrossEnginesAndThreads) {
-  // The incremental EXS path re-confirms every near-budget candidate with
-  // the exact evaluation, so its accepted set — and therefore the winner —
-  // is bit-identical to the reference engine for any thread count.
-  core::ExsOptions reference;
-  reference.eval_engine = EvalEngine::kReference;
-  reference.threads = 1;
-  const auto expect = core::run_exs(platform_, 55.0, reference);
-  for (const auto engine : {EvalEngine::kReference, EvalEngine::kModal}) {
-    for (const unsigned threads : {1u, 4u}) {
-      core::ExsOptions options;
-      options.eval_engine = engine;
-      options.threads = threads;
-      const auto got = core::run_exs(platform_, 55.0, options);
-      EXPECT_EQ(got.feasible, expect.feasible);
-      EXPECT_EQ(got.throughput, expect.throughput);
-      EXPECT_EQ(got.peak_rise, expect.peak_rise);
-      for (std::size_t core = 0; core < platform_.num_cores(); ++core)
-        EXPECT_EQ(got.schedule.voltage_at(core, 0.0),
-                  expect.schedule.voltage_at(core, 0.0));
+  // Brute-force oracle over all 4^4 single-mode assignments, on the
+  // model's own LU steady-state solve rather than EXS's precomputed
+  // inverse and incremental odometer.
+  constexpr double kT = 55.0;
+  const auto& model = *platform_.model;
+  const std::vector<double>& levels = platform_.levels.values();
+  const std::size_t cores = platform_.num_cores();
+  const double budget = platform_.rise_budget(kT);
+  struct Assignment {
+    std::vector<double> voltages;
+    double throughput;
+    double peak;
+  };
+  std::vector<Assignment> feasible;
+  std::size_t total = 1;
+  for (std::size_t c = 0; c < cores; ++c) total *= levels.size();
+  for (std::size_t index = 0; index < total; ++index) {
+    linalg::Vector voltages(cores);
+    std::size_t rest = index;
+    double speed_sum = 0.0;
+    for (std::size_t c = 0; c < cores; ++c) {
+      voltages[c] = levels[rest % levels.size()];
+      rest /= levels.size();
+      speed_sum += voltages[c];
     }
+    const double peak =
+        model.core_rises(model.steady_state(voltages)).max();
+    // The oracle is only meaningful where roundoff cannot flip feasibility.
+    ASSERT_GT(std::abs(peak - budget), 1e-9 * budget) << "index " << index;
+    if (peak > budget) continue;
+    feasible.push_back({std::vector<double>(voltages.data(),
+                                            voltages.data() + cores),
+                        speed_sum / static_cast<double>(cores), peak});
   }
+  ASSERT_FALSE(feasible.empty());
+  double best_throughput = -1.0;
+  for (const auto& a : feasible)
+    best_throughput = std::max(best_throughput, a.throughput);
+  double best_peak = std::numeric_limits<double>::infinity();
+  for (const auto& a : feasible)
+    if (a.throughput == best_throughput)
+      best_peak = std::min(best_peak, a.peak);
+
+  core::ExsOptions options;
+  options.threads = 1;
+  const auto serial = core::run_exs(platform_, kT, options);
+  ASSERT_TRUE(serial.feasible);
+  EXPECT_EQ(serial.throughput, best_throughput);
+  EXPECT_NEAR(serial.peak_rise, best_peak, 1e-9);
+  // The winner is one of the oracle's optimal assignments.
+  std::vector<double> winner(cores);
+  for (std::size_t c = 0; c < cores; ++c)
+    winner[c] = serial.schedule.voltage_at(c, 0.0);
+  bool optimal = false;
+  for (const auto& a : feasible)
+    optimal = optimal || (a.voltages == winner &&
+                          a.throughput == best_throughput &&
+                          std::abs(a.peak - best_peak) <= 1e-9);
+  EXPECT_TRUE(optimal);
+
+  options.threads = 4;
+  const auto parallel = core::run_exs(platform_, kT, options);
+  EXPECT_EQ(parallel.feasible, serial.feasible);
+  EXPECT_EQ(parallel.throughput, serial.throughput);
+  EXPECT_EQ(parallel.peak_rise, serial.peak_rise);
+  for (std::size_t c = 0; c < cores; ++c)
+    EXPECT_EQ(parallel.schedule.voltage_at(c, 0.0), winner[c]);
 }
 
 }  // namespace
