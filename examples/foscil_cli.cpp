@@ -484,8 +484,8 @@ int main(int argc, char** argv) {
     return 1;
   }
   // Surface misspelled keys in known sections (stderr, once per key) —
-  // typed getters with defaults would otherwise ignore them silently.
-  core::warn_unknown_config_keys(config, serve::serve_known_config_keys());
+  // the loaders would otherwise ignore them silently.
+  core::warn_unknown_config_keys(config, serve::config_key_names());
 
   try {
     const core::Platform platform = core::platform_from_config(config);

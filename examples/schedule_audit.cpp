@@ -23,6 +23,7 @@
 #include "core/audit.hpp"
 #include "core/config_loader.hpp"
 #include "core/guard.hpp"
+#include "serve/serve_config.hpp"
 #include "util/table.hpp"
 
 using namespace foscil;
@@ -60,6 +61,7 @@ int main(int argc, char** argv) {
   }
   try {
     const Config config = Config::load(argv[1]);
+    core::warn_unknown_config_keys(config, serve::config_key_names());
     const core::Platform platform = core::platform_from_config(config);
     const double t_max = core::t_max_from_config(config);
     const double period = std::stod(argv[2]);

@@ -1,10 +1,8 @@
 #include "core/config_loader.hpp"
 
-#include <cmath>
 #include <iostream>
 #include <mutex>
 #include <set>
-#include <string>
 
 #include "linalg/simd.hpp"
 
@@ -17,159 +15,189 @@ namespace {
   throw ConfigError("key '" + key + "' " + why);
 }
 
-double probability_from_config(const Config& config, const char* key,
-                               double fallback) {
-  const double p = config.get_double_or(key, fallback);
-  if (p < 0.0 || p > 1.0) reject(key, "must be a probability in [0, 1]");
-  return p;
+[[nodiscard]] std::string section_of(const std::string& key) {
+  return key.substr(0, key.find('.'));
 }
 
-double positive_from_config(const Config& config, const char* key,
-                            double fallback) {
-  const double v = config.get_double_or(key, fallback);
-  if (v <= 0.0) reject(key, "must be > 0");
-  return v;
-}
+constexpr ConfigRange kUnitOpenLow{0.0, 1.0, true, false};   // (0, 1]
+constexpr ConfigRange kUnitOpenHigh{0.0, 1.0, false, true};  // [0, 1)
 
-power::VoltageLevels levels_from_config(const Config& config) {
-  const bool has_values = config.has("levels.values");
-  const bool has_table4 = config.has("levels.table4");
-  const bool has_full = config.has("levels.full_range");
-  const int chosen = (has_values ? 1 : 0) + (has_table4 ? 1 : 0) +
-                     (has_full ? 1 : 0);
+power::VoltageLevels levels_from(const Config& config,
+                                 const ConfigTargets& t) {
+  const int chosen = static_cast<int>(config.has("levels.values")) +
+                     static_cast<int>(config.has("levels.table4")) +
+                     static_cast<int>(config.has("levels.full_range"));
   if (chosen > 1)
     throw ConfigError(
         "choose exactly one of levels.values / levels.table4 / "
         "levels.full_range");
-  if (has_values)
-    return power::VoltageLevels(config.get_doubles("levels.values"));
-  if (has_table4)
-    return power::VoltageLevels::paper_table4(
-        static_cast<int>(config.get_int("levels.table4")));
-  if (has_full && config.get_bool("levels.full_range"))
-    return power::VoltageLevels::paper_full_range();
+  if (!t.level_values.empty()) return power::VoltageLevels(t.level_values);
+  if (config.has("levels.table4"))
+    return power::VoltageLevels::paper_table4(t.table4);
+  if (t.full_range) return power::VoltageLevels::paper_full_range();
   // Default: the paper's 2-mode set.
   return power::VoltageLevels({0.6, 1.3});
 }
 
-thermal::HotSpotParams package_from_config(const Config& config) {
-  thermal::HotSpotParams params;
-  params.die_tiers = static_cast<std::size_t>(
-      config.get_int_or("platform.tiers", 1));
-  params.r_convection_block = config.get_double_or(
-      "package.r_convection_block", params.r_convection_block);
-  params.rim_width_blocks = config.get_double_or(
-      "package.rim_width_blocks", params.rim_width_blocks);
-  params.sink_mass_factor = config.get_double_or(
-      "package.sink_mass_factor", params.sink_mass_factor);
-  params.k_tim = config.get_double_or("package.k_tim", params.k_tim);
-  if (config.has("package.t_tim_um"))
-    params.t_tim = config.get_double("package.t_tim_um") * 1e-6;
-  if (config.has("package.t_spreader_mm"))
-    params.t_spreader = config.get_double("package.t_spreader_mm") * 1e-3;
-  if (config.has("package.t_sink_base_mm"))
-    params.t_sink_base = config.get_double("package.t_sink_base_mm") * 1e-3;
-  params.k_inter_tier = config.get_double_or("package.k_inter_tier",
-                                             params.k_inter_tier);
-  if (config.has("package.t_inter_tier_um"))
-    params.t_inter_tier =
-        config.get_double("package.t_inter_tier_um") * 1e-6;
-  return params;
-}
-
-power::PowerModel power_from_config(const Config& config,
-                                    std::size_t num_cores) {
-  power::PowerCoefficients coeff;
-  coeff.alpha = config.get_double_or("power.alpha", coeff.alpha);
-  coeff.beta = config.get_double_or("power.beta", coeff.beta);
-  coeff.gamma = config.get_double_or("power.gamma", coeff.gamma);
-
-  // Optional heterogeneity: per-core lists override the scalar baseline.
-  const bool any_per_core = config.has("power.alpha_per_core") ||
-                            config.has("power.beta_per_core") ||
-                            config.has("power.gamma_per_core");
-  if (!any_per_core) return power::PowerModel(coeff);
-
-  std::vector<power::PowerCoefficients> per_core(num_cores, coeff);
-  const auto apply = [&](const char* key, auto member) {
-    if (!config.has(key)) return;
-    const std::vector<double> values = config.get_doubles(key);
+/// Per-core lists override the scalar baseline for their coefficient.
+power::PowerModel power_from(const ConfigTargets& t, std::size_t num_cores) {
+  if (t.alpha_per_core.empty() && t.beta_per_core.empty() &&
+      t.gamma_per_core.empty())
+    return power::PowerModel(t.power);
+  std::vector<power::PowerCoefficients> per_core(num_cores, t.power);
+  const auto spread = [&](const char* key, const std::vector<double>& values,
+                          double power::PowerCoefficients::*member) {
+    if (values.empty()) return;
     if (values.size() != num_cores)
-      throw ConfigError(std::string(key) + " must list exactly " +
-                        std::to_string(num_cores) + " values");
+      reject(key, "must list exactly " + std::to_string(num_cores) +
+                      " values");
     for (std::size_t i = 0; i < num_cores; ++i)
       per_core[i].*member = values[i];
   };
-  apply("power.alpha_per_core", &power::PowerCoefficients::alpha);
-  apply("power.beta_per_core", &power::PowerCoefficients::beta);
-  apply("power.gamma_per_core", &power::PowerCoefficients::gamma);
+  spread("power.alpha_per_core", t.alpha_per_core,
+         &power::PowerCoefficients::alpha);
+  spread("power.beta_per_core", t.beta_per_core,
+         &power::PowerCoefficients::beta);
+  spread("power.gamma_per_core", t.gamma_per_core,
+         &power::PowerCoefficients::gamma);
   return power::PowerModel(std::move(per_core));
 }
 
 }  // namespace
 
-Platform platform_from_config(const Config& config) {
-  const long rows_raw = config.get_int("platform.rows");
-  const long cols_raw = config.get_int("platform.cols");
-  if (rows_raw < 1) reject("platform.rows", "must be >= 1");
-  if (cols_raw < 1) reject("platform.cols", "must be >= 1");
-  const auto rows = static_cast<std::size_t>(rows_raw);
-  const auto cols = static_cast<std::size_t>(cols_raw);
-  const double edge_m =
-      config.get_double_or("platform.core_edge_mm", 4.0) * 1e-3;
+std::vector<ConfigKey> config_keys(ConfigTargets& t) {
+  thermal::HotSpotParams& pkg = t.package;
+  AoOptions& ao = t.guard.ao;
+  sim::FaultSpec& f = t.faults;
+  power::TransitionFaults& tf = f.transitions;
+  IdentifyOptions& id = t.guard.identify;
+  GuardOptions& g = t.guard;
+  return {
+      {"platform.rows", &t.rows, kAtLeastOne, {}, true},
+      {"platform.cols", &t.cols, kAtLeastOne, {}, true},
+      {"platform.tiers", &pkg.die_tiers, kAtLeastOne},
+      {"platform.core_edge_mm", &t.core_edge, kAnyValue, kMilli},
+      {"platform.t_ambient_c", &t.t_ambient_c},
+      {"levels.values", &t.level_values},
+      {"levels.table4", &t.table4},
+      {"levels.full_range", &t.full_range},
+      {"package.r_convection_block", &pkg.r_convection_block},
+      {"package.rim_width_blocks", &pkg.rim_width_blocks},
+      {"package.sink_mass_factor", &pkg.sink_mass_factor},
+      {"package.k_tim", &pkg.k_tim},
+      {"package.t_tim_um", &pkg.t_tim, kAnyValue, kMicro},
+      {"package.t_spreader_mm", &pkg.t_spreader, kAnyValue, kMilli},
+      {"package.t_sink_base_mm", &pkg.t_sink_base, kAnyValue, kMilli},
+      {"package.k_inter_tier", &pkg.k_inter_tier},
+      {"package.t_inter_tier_um", &pkg.t_inter_tier, kAnyValue, kMicro},
+      {"power.alpha", &t.power.alpha},
+      {"power.beta", &t.power.beta},
+      {"power.gamma", &t.power.gamma},
+      {"power.alpha_per_core", &t.alpha_per_core},
+      {"power.beta_per_core", &t.beta_per_core},
+      {"power.gamma_per_core", &t.gamma_per_core},
+      {"ao.base_period_ms", &ao.base_period, kAnyValue, kMilli},
+      {"ao.tau_us", &ao.transition_overhead, kAnyValue, kMicro},
+      {"ao.t_unit_fraction", &ao.t_unit_fraction},
+      {"ao.max_m", &ao.max_m},
+      {"ao.t_max_margin_k", &ao.t_max_margin, kNonNegative},
+      {"sim.simd", &t.simd},
+      {"run.t_max_c", &t.t_max_c},
+      {"faults.intensity", &t.fault_intensity, kUnitInterval},
+      {"faults.seed", &f.seed},
+      {"faults.sensor_bias_k", &f.sensors.bias_k},
+      {"faults.sensor_noise_k", &f.sensors.noise_sigma_k, kNonNegative},
+      {"faults.stuck_sensors", &f.sensors.stuck_cores, kNonNegative},
+      {"faults.stuck_at_k", &f.sensors.stuck_at_k},
+      {"faults.drop_probability", &tf.drop_probability, kUnitInterval},
+      {"faults.delay_probability", &tf.delay_probability, kUnitInterval},
+      {"faults.delay_ms", &tf.delay_s, kNonNegative, kMilli},
+      {"faults.r_convection_scale", &f.r_convection_scale, kPositive},
+      {"faults.k_tim_scale", &f.k_tim_scale, kPositive},
+      {"faults.c_scale", &f.c_scale, kPositive},
+      {"faults.alpha_scale", &f.alpha_scale, kPositive},
+      {"faults.beta_scale", &f.beta_scale, kPositive},
+      {"faults.gamma_scale", &f.gamma_scale, kPositive},
+      {"faults.power_jitter", &f.power_jitter, kUnitOpenHigh},
+      {"faults.ambient_drift_c", &f.ambient_drift_c, kNonNegative},
+      {"faults.ambient_drift_period_s", &f.ambient_drift_period_s, kPositive},
+      {"guard.horizon_s", &g.horizon, kPositive},
+      {"guard.control_period_ms", &g.control_period, kPositive, kMilli},
+      {"guard.samples_per_tick", &g.samples_per_tick},
+      {"guard.trip_margin_k", &g.trip_margin, kPositive},
+      {"guard.reentry_margin_k", &g.reentry_margin, kNonNegative},
+      {"guard.backoff_initial_s", &g.backoff_initial, kPositive},
+      {"guard.backoff_factor", &g.backoff_factor, kAtLeastOne},
+      {"guard.backoff_max_s", &g.backoff_max},
+      {"guard.escalate_after", &g.escalate_after, kAtLeastOne},
+      {"guard.derate_step_k", &g.derate_step, kPositive},
+      {"guard.max_derate_k", &g.max_derate, kNonNegative},
+      {"identify.enabled", &id.enabled},
+      {"identify.forgetting", &id.forgetting, kUnitOpenLow},
+      {"identify.prior_sigma", &id.prior_sigma, kPositive},
+      {"identify.beta_prior_sigma", &id.beta_prior_sigma, kPositive},
+      {"identify.gate_sigma", &id.gate_sigma, kPositive},
+      {"identify.confidence", &id.confidence, kNonNegative},
+      {"identify.trust_radius", &id.trust_radius, kNonNegative},
+      {"identify.min_polls", &id.min_polls, kAtLeastOne},
+      {"identify.min_seconds", &id.min_seconds, kNonNegative},
+      {"identify.significance", &id.significance, kNonNegative},
+      {"identify.min_theta", &id.min_theta, kNonNegative},
+      {"identify.band_floor_k", &id.band_floor_k, kNonNegative},
+      {"identify.max_replans", &id.max_replans, kNonNegative},
+      {"identify.replan_delta", &id.replan_delta, kNonNegative},
+      {"identify.alpha_scale_w", &id.alpha_scale_w, kPositive},
+      {"identify.rel_scale", &id.rel_scale, kPositive},
+      {"identify.bias_scale_k", &id.bias_scale_k, kPositive},
+      {"identify.drift_scale_k", &id.drift_scale_k, kPositive},
+      {"identify.drift_period_s", &id.drift_period_s, kNonNegative},
+      {"identify.innovation_clip_k", &id.innovation_clip_k, kNonNegative},
+      {"identify.conservative", &id.conservative},
+  };
+}
 
-  const thermal::Floorplan floorplan(rows, cols, edge_m);
-  thermal::RcNetwork network(floorplan, package_from_config(config));
+Platform platform_from_config(const Config& config) {
+  ConfigTargets t;
+  apply_config(config, config_keys(t),
+               {"platform", "levels", "package", "power"});
+  const thermal::Floorplan floorplan(t.rows, t.cols, t.core_edge);
+  thermal::RcNetwork network(floorplan, t.package);
   const std::size_t num_cores = network.num_cores();
   Platform platform;
   platform.model = std::make_shared<const thermal::ThermalModel>(
-      std::move(network), power_from_config(config, num_cores));
-  platform.levels = levels_from_config(config);
-  platform.t_ambient_c = config.get_double_or("platform.t_ambient_c", 35.0);
+      std::move(network), power_from(t, num_cores));
+  platform.levels = levels_from(config, t);
+  platform.t_ambient_c = t.t_ambient_c;
   platform.name = floorplan.label();
-  const long tiers = config.get_int_or("platform.tiers", 1);
-  if (tiers > 1) {
-    platform.name += 'x';
-    platform.name += std::to_string(tiers);
-    platform.name += "tiers";
-  }
+  if (t.package.die_tiers > 1)
+    platform.name += 'x' + std::to_string(t.package.die_tiers) + "tiers";
   return platform;
 }
 
 AoOptions ao_options_from_config(const Config& config) {
-  AoOptions options;
-  if (config.has("ao.base_period_ms"))
-    options.base_period = config.get_double("ao.base_period_ms") * 1e-3;
-  if (config.has("ao.tau_us"))
-    options.transition_overhead = config.get_double("ao.tau_us") * 1e-6;
-  options.t_unit_fraction = config.get_double_or("ao.t_unit_fraction",
-                                                 options.t_unit_fraction);
-  options.max_m =
-      static_cast<int>(config.get_int_or("ao.max_m", options.max_m));
-  options.t_max_margin = config.get_double_or("ao.t_max_margin_k",
-                                              options.t_max_margin);
-  if (options.t_max_margin < 0.0)
-    reject("ao.t_max_margin_k", "must be >= 0");
+  ConfigTargets t;
+  apply_config(config, config_keys(t), {"ao", "sim"});
   // SIMD dispatch is a process-wide kernel-table selection, not a per-run
   // option struct field: every engine (modal, reference, EXS) reads the
   // same table.  The config key overrides the FOSCIL_SIMD environment
   // default; set_active_level clamps avx2 to scalar on CPUs without it.
   if (config.has("sim.simd")) {
-    const std::string simd = config.get_string("sim.simd");
-    if (simd == "scalar")
+    if (t.simd == "scalar")
       linalg::simd::set_active_level(linalg::simd::Level::kScalar);
-    else if (simd == "avx2")
+    else if (t.simd == "avx2")
       linalg::simd::set_active_level(linalg::simd::Level::kAvx2);
-    else if (simd == "auto")
+    else if (t.simd == "auto")
       linalg::simd::set_active_level(linalg::simd::detected_level());
     else
       reject("sim.simd", "must be 'scalar', 'avx2', or 'auto'");
   }
-  return options;
+  return t.guard.ao;
 }
 
 double t_max_from_config(const Config& config) {
-  return config.get_double_or("run.t_max_c", 55.0);
+  ConfigTargets t;
+  apply_config(config, config_keys(t), {"run"});
+  return t.t_max_c;
 }
 
 bool has_faults_config(const Config& config) {
@@ -179,240 +207,44 @@ bool has_faults_config(const Config& config) {
 }
 
 sim::FaultSpec faults_from_config(const Config& config) {
-  sim::FaultSpec spec;
+  ConfigTargets t;
+  const std::vector<ConfigKey> rows = config_keys(t);
+  apply_config(config, rows, {"faults"});
   if (config.has("faults.intensity")) {
-    const double intensity = config.get_double("faults.intensity");
-    if (intensity < 0.0 || intensity > 1.0)
-      reject("faults.intensity", "must be in [0, 1]");
-    spec = sim::FaultSpec::at_intensity(intensity);
+    // The dial sets the base spec; re-applying puts explicit keys on top.
+    t.faults = sim::FaultSpec::at_intensity(t.fault_intensity);
+    apply_config(config, rows, {"faults"});
   }
-
-  spec.seed = static_cast<std::uint64_t>(
-      config.get_int_or("faults.seed", static_cast<long>(spec.seed)));
-  spec.sensors.bias_k =
-      config.get_double_or("faults.sensor_bias_k", spec.sensors.bias_k);
-  spec.sensors.noise_sigma_k = config.get_double_or(
-      "faults.sensor_noise_k", spec.sensors.noise_sigma_k);
-  if (spec.sensors.noise_sigma_k < 0.0)
-    reject("faults.sensor_noise_k", "must be >= 0");
-  if (config.has("faults.stuck_sensors")) {
-    spec.sensors.stuck_cores.clear();
-    for (double value : config.get_doubles("faults.stuck_sensors")) {
-      if (value < 0.0 || value != std::floor(value))
-        reject("faults.stuck_sensors",
-               "must list non-negative core indices");
-      spec.sensors.stuck_cores.push_back(static_cast<std::size_t>(value));
-    }
-  }
-  spec.sensors.stuck_at_k =
-      config.get_double_or("faults.stuck_at_k", spec.sensors.stuck_at_k);
-
-  spec.transitions.drop_probability = probability_from_config(
-      config, "faults.drop_probability", spec.transitions.drop_probability);
-  spec.transitions.delay_probability = probability_from_config(
-      config, "faults.delay_probability",
-      spec.transitions.delay_probability);
-  if (config.has("faults.delay_ms"))
-    spec.transitions.delay_s = config.get_double("faults.delay_ms") * 1e-3;
-  if (spec.transitions.delay_s < 0.0)
-    reject("faults.delay_ms", "must be >= 0");
-  if (spec.transitions.delay_probability > 0.0 &&
-      spec.transitions.delay_s <= 0.0)
+  const power::TransitionFaults& transitions = t.faults.transitions;
+  if (transitions.delay_probability > 0.0 && transitions.delay_s <= 0.0)
     reject("faults.delay_ms",
            "must be > 0 when faults.delay_probability is set");
-
-  spec.r_convection_scale = positive_from_config(
-      config, "faults.r_convection_scale", spec.r_convection_scale);
-  spec.k_tim_scale = positive_from_config(config, "faults.k_tim_scale",
-                                          spec.k_tim_scale);
-  spec.c_scale =
-      positive_from_config(config, "faults.c_scale", spec.c_scale);
-  spec.alpha_scale = positive_from_config(config, "faults.alpha_scale",
-                                          spec.alpha_scale);
-  spec.beta_scale = positive_from_config(config, "faults.beta_scale",
-                                         spec.beta_scale);
-  spec.gamma_scale = positive_from_config(config, "faults.gamma_scale",
-                                          spec.gamma_scale);
-  spec.power_jitter =
-      config.get_double_or("faults.power_jitter", spec.power_jitter);
-  if (spec.power_jitter < 0.0 || spec.power_jitter >= 1.0)
-    reject("faults.power_jitter", "must be in [0, 1)");
-
-  spec.ambient_drift_c =
-      config.get_double_or("faults.ambient_drift_c", spec.ambient_drift_c);
-  if (spec.ambient_drift_c < 0.0)
-    reject("faults.ambient_drift_c", "must be >= 0");
-  spec.ambient_drift_period_s =
-      positive_from_config(config, "faults.ambient_drift_period_s",
-                           spec.ambient_drift_period_s);
-  spec.check();
-  return spec;
+  t.faults.check();
+  return t.faults;
 }
 
 IdentifyOptions identify_options_from_config(const Config& config) {
-  IdentifyOptions options;
-  if (config.has("identify.enabled"))
-    options.enabled = config.get_bool("identify.enabled");
-  options.forgetting =
-      config.get_double_or("identify.forgetting", options.forgetting);
-  if (options.forgetting <= 0.0 || options.forgetting > 1.0)
-    reject("identify.forgetting", "must be in (0, 1]");
-  options.prior_sigma = positive_from_config(config, "identify.prior_sigma",
-                                             options.prior_sigma);
-  options.gate_sigma = positive_from_config(config, "identify.gate_sigma",
-                                            options.gate_sigma);
-  options.confidence =
-      config.get_double_or("identify.confidence", options.confidence);
-  if (options.confidence < 0.0) reject("identify.confidence", "must be >= 0");
-  const long min_polls = config.get_int_or(
-      "identify.min_polls", static_cast<long>(options.min_polls));
-  if (min_polls < 1) reject("identify.min_polls", "must be >= 1");
-  options.min_polls = static_cast<std::size_t>(min_polls);
-  options.significance =
-      config.get_double_or("identify.significance", options.significance);
-  if (options.significance < 0.0)
-    reject("identify.significance", "must be >= 0");
-  options.min_theta =
-      config.get_double_or("identify.min_theta", options.min_theta);
-  if (options.min_theta < 0.0) reject("identify.min_theta", "must be >= 0");
-  options.band_floor_k =
-      config.get_double_or("identify.band_floor_k", options.band_floor_k);
-  if (options.band_floor_k < 0.0)
-    reject("identify.band_floor_k", "must be >= 0");
-  const long max_replans = config.get_int_or(
-      "identify.max_replans", static_cast<long>(options.max_replans));
-  if (max_replans < 0) reject("identify.max_replans", "must be >= 0");
-  options.max_replans = static_cast<std::size_t>(max_replans);
-  options.replan_delta =
-      config.get_double_or("identify.replan_delta", options.replan_delta);
-  if (options.replan_delta < 0.0)
-    reject("identify.replan_delta", "must be >= 0");
-  options.alpha_scale_w = positive_from_config(
-      config, "identify.alpha_scale_w", options.alpha_scale_w);
-  options.rel_scale =
-      positive_from_config(config, "identify.rel_scale", options.rel_scale);
-  options.bias_scale_k = positive_from_config(
-      config, "identify.bias_scale_k", options.bias_scale_k);
-  options.beta_prior_sigma = positive_from_config(
-      config, "identify.beta_prior_sigma", options.beta_prior_sigma);
-  options.trust_radius =
-      config.get_double_or("identify.trust_radius", options.trust_radius);
-  if (options.trust_radius < 0.0)
-    reject("identify.trust_radius", "must be >= 0");
-  options.min_seconds =
-      config.get_double_or("identify.min_seconds", options.min_seconds);
-  if (options.min_seconds < 0.0)
-    reject("identify.min_seconds", "must be >= 0");
-  options.drift_scale_k = positive_from_config(
-      config, "identify.drift_scale_k", options.drift_scale_k);
-  options.drift_period_s = config.get_double_or("identify.drift_period_s",
-                                                options.drift_period_s);
-  if (options.drift_period_s < 0.0)
-    reject("identify.drift_period_s", "must be >= 0");
-  options.innovation_clip_k = config.get_double_or(
-      "identify.innovation_clip_k", options.innovation_clip_k);
-  if (options.innovation_clip_k < 0.0)
-    reject("identify.innovation_clip_k", "must be >= 0");
-  if (config.has("identify.conservative"))
-    options.conservative = config.get_bool("identify.conservative");
-  return options;
+  ConfigTargets t;
+  apply_config(config, config_keys(t), {"identify"});
+  return t.guard.identify;
 }
 
 GuardOptions guard_options_from_config(const Config& config) {
-  GuardOptions options;
+  ConfigTargets t;
+  apply_config(config, config_keys(t), {"guard", "identify"});
+  GuardOptions options = t.guard;
   options.ao = ao_options_from_config(config);
-  options.identify = identify_options_from_config(config);
-  options.horizon =
-      positive_from_config(config, "guard.horizon_s", options.horizon);
-  if (config.has("guard.control_period_ms"))
-    options.control_period =
-        config.get_double("guard.control_period_ms") * 1e-3;
-  if (options.control_period <= 0.0)
-    reject("guard.control_period_ms", "must be > 0");
-  options.samples_per_tick = static_cast<int>(config.get_int_or(
-      "guard.samples_per_tick", options.samples_per_tick));
-  options.trip_margin = positive_from_config(config, "guard.trip_margin_k",
-                                             options.trip_margin);
-  options.reentry_margin = config.get_double_or("guard.reentry_margin_k",
-                                                options.reentry_margin);
-  if (options.reentry_margin < 0.0)
-    reject("guard.reentry_margin_k", "must be >= 0");
-  options.backoff_initial = positive_from_config(
-      config, "guard.backoff_initial_s", options.backoff_initial);
-  options.backoff_factor = config.get_double_or("guard.backoff_factor",
-                                                options.backoff_factor);
-  if (options.backoff_factor < 1.0)
-    reject("guard.backoff_factor", "must be >= 1");
-  options.backoff_max =
-      config.get_double_or("guard.backoff_max_s", options.backoff_max);
   if (options.backoff_max < options.backoff_initial)
     reject("guard.backoff_max_s", "must be >= guard.backoff_initial_s");
-  options.escalate_after = static_cast<int>(
-      config.get_int_or("guard.escalate_after", options.escalate_after));
-  if (options.escalate_after < 1)
-    reject("guard.escalate_after", "must be >= 1");
-  options.derate_step = positive_from_config(config, "guard.derate_step_k",
-                                             options.derate_step);
-  options.max_derate =
-      config.get_double_or("guard.max_derate_k", options.max_derate);
-  if (options.max_derate < 0.0)
-    reject("guard.max_derate_k", "must be >= 0");
   options.check();
   return options;
 }
 
-namespace {
-
-/// Every "section.key" the loaders in this file read.  Kept literal (not
-/// harvested at call time) so the validator can run without touching any
-/// loader; the unknown-key test cross-checks it against a config
-/// exercising every documented key.
-const char* const kKnownKeys[] = {
-    "platform.rows", "platform.cols", "platform.tiers",
-    "platform.core_edge_mm", "platform.t_ambient_c",
-    "levels.values", "levels.table4", "levels.full_range",
-    "package.r_convection_block", "package.rim_width_blocks",
-    "package.sink_mass_factor", "package.k_tim", "package.t_tim_um",
-    "package.t_spreader_mm", "package.t_sink_base_mm",
-    "package.k_inter_tier", "package.t_inter_tier_um",
-    "power.alpha", "power.beta", "power.gamma", "power.alpha_per_core",
-    "power.beta_per_core", "power.gamma_per_core",
-    "ao.base_period_ms", "ao.tau_us", "ao.t_unit_fraction", "ao.max_m",
-    "ao.t_max_margin_k",
-    "sim.simd",
-    "run.t_max_c",
-    "faults.intensity", "faults.seed", "faults.sensor_bias_k",
-    "faults.sensor_noise_k", "faults.stuck_sensors", "faults.stuck_at_k",
-    "faults.drop_probability", "faults.delay_probability", "faults.delay_ms",
-    "faults.r_convection_scale", "faults.k_tim_scale", "faults.c_scale",
-    "faults.alpha_scale", "faults.beta_scale", "faults.gamma_scale",
-    "faults.power_jitter", "faults.ambient_drift_c",
-    "faults.ambient_drift_period_s",
-    "guard.horizon_s", "guard.control_period_ms", "guard.samples_per_tick",
-    "guard.trip_margin_k", "guard.reentry_margin_k",
-    "guard.backoff_initial_s", "guard.backoff_factor", "guard.backoff_max_s",
-    "guard.escalate_after", "guard.derate_step_k", "guard.max_derate_k",
-    "identify.enabled", "identify.forgetting", "identify.prior_sigma",
-    "identify.beta_prior_sigma", "identify.gate_sigma",
-    "identify.confidence", "identify.trust_radius", "identify.min_polls",
-    "identify.min_seconds", "identify.significance", "identify.min_theta",
-    "identify.band_floor_k", "identify.max_replans", "identify.replan_delta",
-    "identify.alpha_scale_w", "identify.rel_scale", "identify.bias_scale_k",
-    "identify.drift_scale_k", "identify.drift_period_s",
-    "identify.innovation_clip_k", "identify.conservative",
-};
-
-[[nodiscard]] std::string section_of(const std::string& key) {
-  const std::size_t dot = key.find('.');
-  return dot == std::string::npos ? key : key.substr(0, dot);
-}
-
-}  // namespace
-
 std::vector<std::string> unknown_config_keys(
     const Config& config, const std::vector<std::string>& extra_known) {
-  std::set<std::string> known(std::begin(kKnownKeys), std::end(kKnownKeys));
-  known.insert(extra_known.begin(), extra_known.end());
+  ConfigTargets scratch;
+  std::set<std::string> known(extra_known.begin(), extra_known.end());
+  for (const ConfigKey& row : config_keys(scratch)) known.insert(row.name);
   std::set<std::string> known_sections;
   for (const std::string& key : known) known_sections.insert(section_of(key));
 

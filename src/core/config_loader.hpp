@@ -1,39 +1,13 @@
 // Build platforms and scheduler options from a text Config (util/config.hpp).
 //
-// Recognized keys (defaults in parentheses):
-//
-//   [platform] rows, cols, tiers (1), core_edge_mm (4.0), t_ambient_c (35)
-//   [levels]   values = 0.6, 1.3       -- explicit list, or:
-//              table4 = 2..5           -- the paper's Table IV sets, or:
-//              full_range = true       -- 0.6:0.05:1.3
-//   [package]  r_convection_block, rim_width_blocks, sink_mass_factor,
-//              k_tim, t_tim_um, t_spreader_mm, t_sink_base_mm,
-//              k_inter_tier, t_inter_tier_um   (all optional overrides)
-//   [power]    alpha, beta, gamma             (optional overrides)
-//              alpha_per_core / beta_per_core / gamma_per_core =
-//              comma-separated per-core lists (heterogeneous chips;
-//              must match the core count, tier-major order)
-//   [ao]       base_period_ms, tau_us, t_unit_fraction, max_m,
-//              t_max_margin_k (0)
-//   [run]      t_max_c (55)
-//   [faults]   intensity (canonical mixed-fault dial; explicit keys below
-//              override it), seed, sensor_bias_k, sensor_noise_k,
-//              stuck_sensors (core indices), stuck_at_k,
-//              drop_probability, delay_probability, delay_ms,
-//              r_convection_scale, k_tim_scale, c_scale,
-//              alpha_scale, beta_scale, gamma_scale, power_jitter,
-//              ambient_drift_c, ambient_drift_period_s
-//   [guard]    horizon_s, control_period_ms, samples_per_tick,
-//              trip_margin_k, reentry_margin_k, backoff_initial_s,
-//              backoff_factor, backoff_max_s, escalate_after,
-//              derate_step_k, max_derate_k
-//   [identify] enabled (false), forgetting, prior_sigma,
-//              beta_prior_sigma, gate_sigma, confidence, trust_radius,
-//              min_polls, min_seconds, significance, min_theta,
-//              band_floor_k, max_replans, replan_delta, alpha_scale_w,
-//              rel_scale, bias_scale_k, drift_scale_k, drift_period_s,
-//              innovation_clip_k, conservative (true)
+// Every key the loaders read -- its section, type, unit, range and
+// default -- is a row of the key table in config_loader.cpp
+// (config_keys), which also drives unknown-key detection.  Defaults are
+// those of the structs the rows fill.
 #pragma once
+
+#include <string>
+#include <vector>
 
 #include "core/ao.hpp"
 #include "core/guard.hpp"
@@ -42,6 +16,30 @@
 #include "util/config.hpp"
 
 namespace foscil::core {
+
+/// Every value a core key fills, at the loaders' defaults.
+struct ConfigTargets {
+  std::size_t rows = 0;
+  std::size_t cols = 0;
+  double core_edge = 4.0 * 1e-3;  ///< m
+  double t_ambient_c = 35.0;
+  std::vector<double> level_values;  ///< the [levels] keys choose one set
+  int table4 = 0;
+  bool full_range = false;
+  thermal::HotSpotParams package;
+  power::PowerCoefficients power;
+  std::vector<double> alpha_per_core;  ///< per-core lists, tier-major
+  std::vector<double> beta_per_core;
+  std::vector<double> gamma_per_core;
+  std::string simd;
+  double t_max_c = 55.0;
+  double fault_intensity = 0.0;  ///< base spec; explicit [faults] keys win
+  sim::FaultSpec faults;
+  GuardOptions guard;  ///< embeds the [ao] and [identify] options
+};
+
+/// The core key table: one row per key, bound to a field of `targets`.
+[[nodiscard]] std::vector<ConfigKey> config_keys(ConfigTargets& targets);
 
 /// Assemble a Platform; throws ConfigError / ContractViolation on bad input.
 [[nodiscard]] Platform platform_from_config(const Config& config);
@@ -68,13 +66,14 @@ namespace foscil::core {
 /// embedded.
 [[nodiscard]] GuardOptions guard_options_from_config(const Config& config);
 
-/// Keys the loaders above never read, restricted to sections this library
-/// knows about (a misspelled `[ao] max_n` is silently ignored by the typed
-/// getters — this is how it gets caught).  `extra_known` extends the known
-/// set with keys recognized by other layers (e.g. serve_config's [serve]
-/// keys); a key in `extra_known` also marks its section as known.  Keys in
-/// entirely unknown sections are NOT reported: unknown sections are the
-/// documented extension point for downstream tooling.  Sorted.
+/// Keys in no row of the core table, restricted to sections the table
+/// knows about (a misspelled `[ao] max_n` is silently ignored by the
+/// loaders -- this is how it gets caught).  `extra_known` extends the
+/// known set with keys recognized by other layers (e.g. serve_config's
+/// [serve] and [net] tables); a key in `extra_known` also marks its section
+/// as known.  Keys in entirely unknown sections are NOT reported: unknown
+/// sections are the documented extension point for downstream tooling.
+/// Sorted.
 [[nodiscard]] std::vector<std::string> unknown_config_keys(
     const Config& config, const std::vector<std::string>& extra_known = {});
 

@@ -5,11 +5,9 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
+#include <sys/epoll.h>
 #include <sys/socket.h>
 #include <unistd.h>
-#ifdef __linux__
-#include <sys/epoll.h>
-#endif
 
 #include <cerrno>
 #include <chrono>
@@ -18,6 +16,7 @@
 #include <deque>
 #include <future>
 #include <iostream>
+#include <system_error>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -51,7 +50,7 @@ void set_nonblocking(int fd) {
   if (flags >= 0) ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
 }
 
-/// One readiness event, backend-agnostic.
+/// One readiness event.
 struct IoEvent {
   int fd = -1;
   bool readable = false;
@@ -59,35 +58,26 @@ struct IoEvent {
   bool broken = false;  ///< HUP/ERR — close without ceremony
 };
 
-/// Readiness backend: epoll where available, poll(2) as the portable
-/// fallback (selectable everywhere via ServerOptions::force_poll so the
-/// fallback stays testable on Linux too).  Level-triggered in both
-/// backends, so a partial read or write simply re-arms.
+/// Level-triggered epoll readiness, so a partial read or write simply
+/// re-arms.  A failing epoll_create1 throws std::system_error when the
+/// server is built.
 class Poller {
  public:
-  explicit Poller(bool force_poll) {
-#ifdef __linux__
-    if (!force_poll) epoll_fd_ = ::epoll_create1(0);
-#else
-    (void)force_poll;
-#endif
+  Poller() : epoll_fd_(::epoll_create1(0)) {
+    if (epoll_fd_ < 0)
+      throw std::system_error(errno, std::generic_category(),
+                              "epoll_create1");
   }
-  ~Poller() {
-#ifdef __linux__
-    if (epoll_fd_ >= 0) ::close(epoll_fd_);
-#endif
-  }
+  ~Poller() { ::close(epoll_fd_); }
+  Poller(const Poller&) = delete;
+  Poller& operator=(const Poller&) = delete;
 
   void add(int fd, bool want_read, bool want_write) {
     interest_[fd] = {want_read, want_write};
-#ifdef __linux__
-    if (epoll_fd_ >= 0) {
-      epoll_event ev{};
-      ev.events = events_of(want_read, want_write);
-      ev.data.fd = fd;
-      ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev);
-    }
-#endif
+    epoll_event ev{};
+    ev.events = events_of(want_read, want_write);
+    ev.data.fd = fd;
+    ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev);
   }
 
   void update(int fd, bool want_read, bool want_write) {
@@ -95,60 +85,29 @@ class Poller {
     if (it == interest_.end()) return;
     if (it->second.read == want_read && it->second.write == want_write) return;
     it->second = {want_read, want_write};
-#ifdef __linux__
-    if (epoll_fd_ >= 0) {
-      epoll_event ev{};
-      ev.events = events_of(want_read, want_write);
-      ev.data.fd = fd;
-      ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, fd, &ev);
-    }
-#endif
+    epoll_event ev{};
+    ev.events = events_of(want_read, want_write);
+    ev.data.fd = fd;
+    ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, fd, &ev);
   }
 
   void remove(int fd) {
     interest_.erase(fd);
-#ifdef __linux__
-    if (epoll_fd_ >= 0) ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
-#endif
+    ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
   }
 
   void wait(std::vector<IoEvent>& events, int timeout_ms) {
     events.clear();
-#ifdef __linux__
-    if (epoll_fd_ >= 0) {
-      std::array<epoll_event, 64> raw{};
-      const int n = ::epoll_wait(epoll_fd_, raw.data(),
-                                 static_cast<int>(raw.size()), timeout_ms);
-      for (int i = 0; i < n; ++i) {
-        const epoll_event& e = raw[static_cast<std::size_t>(i)];
-        IoEvent ev;
-        ev.fd = e.data.fd;
-        ev.readable = (e.events & EPOLLIN) != 0;
-        ev.writable = (e.events & EPOLLOUT) != 0;
-        ev.broken = (e.events & (EPOLLERR | EPOLLHUP)) != 0;
-        events.push_back(ev);
-      }
-      return;
-    }
-#endif
-    std::vector<pollfd> fds;
-    fds.reserve(interest_.size());
-    for (const auto& [fd, want] : interest_) {
-      pollfd p{};
-      p.fd = fd;
-      p.events = static_cast<short>((want.read ? POLLIN : 0) |
-                                    (want.write ? POLLOUT : 0));
-      fds.push_back(p);
-    }
-    const int n = ::poll(fds.data(), fds.size(), timeout_ms);
-    if (n <= 0) return;
-    for (const pollfd& p : fds) {
-      if (p.revents == 0) continue;
+    std::array<epoll_event, 64> raw{};
+    const int n = ::epoll_wait(epoll_fd_, raw.data(),
+                               static_cast<int>(raw.size()), timeout_ms);
+    for (int i = 0; i < n; ++i) {
+      const epoll_event& e = raw[static_cast<std::size_t>(i)];
       IoEvent ev;
-      ev.fd = p.fd;
-      ev.readable = (p.revents & POLLIN) != 0;
-      ev.writable = (p.revents & POLLOUT) != 0;
-      ev.broken = (p.revents & (POLLERR | POLLHUP | POLLNVAL)) != 0;
+      ev.fd = e.data.fd;
+      ev.readable = (e.events & EPOLLIN) != 0;
+      ev.writable = (e.events & EPOLLOUT) != 0;
+      ev.broken = (e.events & (EPOLLERR | EPOLLHUP)) != 0;
       events.push_back(ev);
     }
   }
@@ -159,12 +118,10 @@ class Poller {
     bool write = false;
   };
 
-#ifdef __linux__
   static std::uint32_t events_of(bool want_read, bool want_write) {
     return (want_read ? EPOLLIN : 0u) | (want_write ? EPOLLOUT : 0u);
   }
-  int epoll_fd_ = -1;
-#endif
+  int epoll_fd_;
   std::unordered_map<int, Interest> interest_;
 };
 
@@ -282,7 +239,6 @@ struct PlanServer::Impl {
         platform(std::move(plat)),
         options(std::move(opts)),
         platform_fp(platform_fingerprint(platform)),
-        poller(options.force_poll),
         ready(ready_flag),
         draining(draining_flag),
         membership(options.membership, {}, mono_seconds()) {}

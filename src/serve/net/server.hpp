@@ -1,9 +1,8 @@
 // Single-threaded event-loop front end for the planning service.
 //
-// One thread multiplexes every connection with epoll (level-triggered;
-// a portable poll(2) backend is selectable for non-Linux builds and for
-// testing the fallback), while the PlanningService's worker pool does the
-// actual planning — the loop only parses frames, submits requests, and
+// One thread multiplexes every connection with level-triggered epoll
+// (Linux only), while the PlanningService's worker pool does the actual
+// planning — the loop only parses frames, submits requests, and
 // flushes completed futures back out.  Robustness contract:
 //
 //   * every inbound byte runs through the strict FrameAssembler; a
@@ -77,8 +76,6 @@ struct ServerOptions {
   /// Testing hook: start not-ready and stay so until set_ready(true) —
   /// pins the NOT_READY path deterministically.
   bool manual_ready = false;
-  /// Use the portable poll(2) backend even where epoll is available.
-  bool force_poll = false;
 
   // ---- membership & live cache handoff (DESIGN.md §15) --------------------
 

@@ -2,199 +2,104 @@
 
 namespace foscil::serve {
 
+namespace {
+
+std::vector<ConfigKey> service_keys(ServiceOptions& s) {
+  OverloadOptions& o = s.overload;
+  BreakerOptions& b = s.breaker;
+  return {
+      {"serve.workers", &s.workers, kNonNegative},
+      {"serve.queue_capacity", &s.queue_capacity, kAtLeastOne},
+      {"serve.cache_capacity", &s.cache_capacity, kAtLeastOne},
+      {"serve.cache_shards", &s.cache_shards, kAtLeastOne},
+      {"serve.default_deadline_ms", &s.default_deadline_s, kNonNegative,
+       kPerThousand},
+      {"serve.overload_enabled", &o.enabled},
+      {"serve.degrade_fill", &o.degrade_fill},
+      {"serve.shed_fill", &o.shed_fill},
+      {"serve.recover_fill", &o.recover_fill},
+      {"serve.degraded_max_m", &o.degraded_max_m},
+      {"serve.degraded_patience", &o.degraded_patience},
+      {"serve.breaker_threshold", &b.failure_threshold},
+      {"serve.breaker_backoff_initial_ms", &b.backoff_initial_s, kAnyValue,
+       kPerThousand},
+      {"serve.breaker_backoff_max_ms", &b.backoff_max_s, kAnyValue,
+       kPerThousand},
+      {"serve.snapshot_path", &s.snapshot_path},
+      {"serve.snapshot_period_s", &s.snapshot_period_s, kNonNegative},
+  };
+}
+
+std::vector<ConfigKey> demo_keys(ServeDemoOptions& d) {
+  return {
+      {"serve.demo_unique", &d.unique_requests, kAtLeastOne},
+      {"serve.demo_repeats", &d.repeats, kAtLeastOne},
+  };
+}
+
+std::vector<ConfigKey> server_keys(net::ServerOptions& n) {
+  net::MembershipOptions& m = n.membership;
+  return {
+      {"net.listen_host", &n.listen_host},
+      {"net.listen_port", &n.listen_port},
+      {"net.max_connections", &n.max_connections, kAtLeastOne},
+      {"net.max_in_flight", &n.max_in_flight_per_connection, kAtLeastOne},
+      {"net.max_body_kib", &n.max_body_bytes, kAtLeastOne, kKibi},
+      {"net.read_idle_timeout_s", &n.read_idle_timeout_s},
+      {"net.write_stall_timeout_s", &n.write_stall_timeout_s},
+      {"net.idle_timeout_s", &n.idle_timeout_s},
+      {"net.warm_snapshot_path", &n.warm_snapshot_path},
+      {"net.drain_snapshot_path", &n.drain_snapshot_path},
+      {"net.advertised_host", &n.advertised_host},
+      {"net.advertised_port", &n.advertised_port},
+      {"net.heartbeat_interval_s", &m.heartbeat_interval_s},
+      {"net.suspect_timeout_s", &m.suspect_timeout_s},
+      {"net.dead_timeout_s", &m.dead_timeout_s},
+      {"net.rejoin_probe_interval_s", &m.rejoin_probe_interval_s},
+      {"net.ring_vnodes", &n.ring_vnodes, kAtLeastOne},
+      {"net.handoff_enabled", &n.handoff_enabled},
+      {"net.handoff_batch_plans", &n.handoff_batch_plans, kAtLeastOne},
+      {"net.handoff_io_timeout_s", &n.handoff_io_timeout_s},
+      {"net.handoff_retry_interval_s", &n.handoff_retry_interval_s},
+  };
+}
+
+}  // namespace
+
+std::vector<ConfigKey> config_keys(ConfigTargets& t) {
+  std::vector<ConfigKey> rows = service_keys(t.service);
+  for (const std::vector<ConfigKey>& part :
+       {demo_keys(t.demo), server_keys(t.server)})
+    rows.insert(rows.end(), part.begin(), part.end());
+  return rows;
+}
+
+std::vector<std::string> config_key_names() {
+  ConfigTargets scratch;
+  std::vector<std::string> names;
+  for (const ConfigKey& row : config_keys(scratch)) names.push_back(row.name);
+  return names;
+}
+
 ServiceOptions service_options_from_config(const Config& config) {
   ServiceOptions options;
-  const long workers = config.get_int_or("serve.workers", 0);
-  FOSCIL_EXPECTS(workers >= 0);
-  options.workers = static_cast<unsigned>(workers);
-
-  const long queue = config.get_int_or(
-      "serve.queue_capacity", static_cast<long>(options.queue_capacity));
-  FOSCIL_EXPECTS(queue >= 1);
-  options.queue_capacity = static_cast<std::size_t>(queue);
-
-  const long capacity = config.get_int_or(
-      "serve.cache_capacity", static_cast<long>(options.cache_capacity));
-  FOSCIL_EXPECTS(capacity >= 1);
-  options.cache_capacity = static_cast<std::size_t>(capacity);
-
-  const long shards = config.get_int_or(
-      "serve.cache_shards", static_cast<long>(options.cache_shards));
-  FOSCIL_EXPECTS(shards >= 1);
-  options.cache_shards = static_cast<std::size_t>(shards);
-
-  const double deadline_ms =
-      config.get_double_or("serve.default_deadline_ms", 0.0);
-  FOSCIL_EXPECTS(deadline_ms >= 0.0);
-  options.default_deadline_s = deadline_ms / 1e3;
-
-  OverloadOptions& overload = options.overload;
-  overload.enabled = config.has("serve.overload_enabled")
-                         ? config.get_bool("serve.overload_enabled")
-                         : overload.enabled;
-  overload.degrade_fill =
-      config.get_double_or("serve.degrade_fill", overload.degrade_fill);
-  overload.shed_fill =
-      config.get_double_or("serve.shed_fill", overload.shed_fill);
-  overload.recover_fill =
-      config.get_double_or("serve.recover_fill", overload.recover_fill);
-  overload.degraded_max_m = static_cast<int>(
-      config.get_int_or("serve.degraded_max_m", overload.degraded_max_m));
-  overload.degraded_patience = static_cast<int>(config.get_int_or(
-      "serve.degraded_patience", overload.degraded_patience));
-  overload.check();
-
-  BreakerOptions& breaker = options.breaker;
-  breaker.failure_threshold = static_cast<int>(config.get_int_or(
-      "serve.breaker_threshold", breaker.failure_threshold));
-  breaker.backoff_initial_s =
-      config.get_double_or("serve.breaker_backoff_initial_ms",
-                           breaker.backoff_initial_s * 1e3) /
-      1e3;
-  breaker.backoff_max_s =
-      config.get_double_or("serve.breaker_backoff_max_ms",
-                           breaker.backoff_max_s * 1e3) /
-      1e3;
-  breaker.check();
-
-  options.snapshot_path = config.get_string_or("serve.snapshot_path", "");
-  options.snapshot_period_s =
-      config.get_double_or("serve.snapshot_period_s", 0.0);
-  FOSCIL_EXPECTS(options.snapshot_period_s >= 0.0);
+  apply_config(config, service_keys(options));
+  options.overload.check();
+  options.breaker.check();
   return options;
 }
 
 ServeDemoOptions demo_options_from_config(const Config& config) {
   ServeDemoOptions demo;
-  const long unique = config.get_int_or("serve.demo_unique",
-                                        demo.unique_requests);
-  const long repeats = config.get_int_or("serve.demo_repeats", demo.repeats);
-  FOSCIL_EXPECTS(unique >= 1);
-  FOSCIL_EXPECTS(repeats >= 1);
-  demo.unique_requests = static_cast<int>(unique);
-  demo.repeats = static_cast<int>(repeats);
+  apply_config(config, demo_keys(demo));
   return demo;
 }
 
 net::ServerOptions server_options_from_config(const Config& config) {
   net::ServerOptions options;
-  options.listen_host =
-      config.get_string_or("net.listen_host", options.listen_host);
-  const long port = config.get_int_or("net.listen_port", 0);
-  FOSCIL_EXPECTS(port >= 0 && port <= 65535);
-  options.listen_port = static_cast<std::uint16_t>(port);
-
-  const long connections = config.get_int_or(
-      "net.max_connections", static_cast<long>(options.max_connections));
-  FOSCIL_EXPECTS(connections >= 1);
-  options.max_connections = static_cast<std::size_t>(connections);
-
-  const long in_flight = config.get_int_or(
-      "net.max_in_flight",
-      static_cast<long>(options.max_in_flight_per_connection));
-  FOSCIL_EXPECTS(in_flight >= 1);
-  options.max_in_flight_per_connection = static_cast<std::size_t>(in_flight);
-
-  const long body_kib = config.get_int_or(
-      "net.max_body_kib", static_cast<long>(options.max_body_bytes >> 10));
-  FOSCIL_EXPECTS(body_kib >= 1);
-  options.max_body_bytes = static_cast<std::uint32_t>(body_kib) << 10;
-
-  options.read_idle_timeout_s = config.get_double_or(
-      "net.read_idle_timeout_s", options.read_idle_timeout_s);
-  options.write_stall_timeout_s = config.get_double_or(
-      "net.write_stall_timeout_s", options.write_stall_timeout_s);
-  options.idle_timeout_s =
-      config.get_double_or("net.idle_timeout_s", options.idle_timeout_s);
-  options.warm_snapshot_path =
-      config.get_string_or("net.warm_snapshot_path", "");
-  options.drain_snapshot_path =
-      config.get_string_or("net.drain_snapshot_path", "");
-  options.force_poll = config.has("net.force_poll")
-                           ? config.get_bool("net.force_poll")
-                           : options.force_poll;
-
-  options.advertised_host =
-      config.get_string_or("net.advertised_host", options.advertised_host);
-  const long advertised_port = config.get_int_or("net.advertised_port", 0);
-  FOSCIL_EXPECTS(advertised_port >= 0 && advertised_port <= 65535);
-  options.advertised_port = static_cast<std::uint16_t>(advertised_port);
-
-  net::MembershipOptions& membership = options.membership;
-  membership.heartbeat_interval_s = config.get_double_or(
-      "net.heartbeat_interval_s", membership.heartbeat_interval_s);
-  membership.suspect_timeout_s = config.get_double_or(
-      "net.suspect_timeout_s", membership.suspect_timeout_s);
-  membership.dead_timeout_s =
-      config.get_double_or("net.dead_timeout_s", membership.dead_timeout_s);
-  membership.rejoin_probe_interval_s = config.get_double_or(
-      "net.rejoin_probe_interval_s", membership.rejoin_probe_interval_s);
-  membership.check();
-
-  const long vnodes = config.get_int_or("net.ring_vnodes",
-                                        static_cast<long>(options.ring_vnodes));
-  FOSCIL_EXPECTS(vnodes >= 1);
-  options.ring_vnodes = static_cast<std::size_t>(vnodes);
-  options.handoff_enabled = config.has("net.handoff_enabled")
-                                ? config.get_bool("net.handoff_enabled")
-                                : options.handoff_enabled;
-  const long batch = config.get_int_or(
-      "net.handoff_batch_plans",
-      static_cast<long>(options.handoff_batch_plans));
-  FOSCIL_EXPECTS(batch >= 1);
-  options.handoff_batch_plans = static_cast<std::size_t>(batch);
-  options.handoff_io_timeout_s = config.get_double_or(
-      "net.handoff_io_timeout_s", options.handoff_io_timeout_s);
-  options.handoff_retry_interval_s = config.get_double_or(
-      "net.handoff_retry_interval_s", options.handoff_retry_interval_s);
-
+  apply_config(config, server_keys(options));
   options.check();
   return options;
-}
-
-std::vector<std::string> serve_known_config_keys() {
-  return {
-      "serve.workers",
-      "serve.queue_capacity",
-      "serve.cache_capacity",
-      "serve.cache_shards",
-      "serve.default_deadline_ms",
-      "serve.overload_enabled",
-      "serve.degrade_fill",
-      "serve.shed_fill",
-      "serve.recover_fill",
-      "serve.degraded_max_m",
-      "serve.degraded_patience",
-      "serve.breaker_threshold",
-      "serve.breaker_backoff_initial_ms",
-      "serve.breaker_backoff_max_ms",
-      "serve.snapshot_path",
-      "serve.snapshot_period_s",
-      "serve.demo_unique",
-      "serve.demo_repeats",
-      "net.listen_host",
-      "net.listen_port",
-      "net.max_connections",
-      "net.max_in_flight",
-      "net.max_body_kib",
-      "net.read_idle_timeout_s",
-      "net.write_stall_timeout_s",
-      "net.idle_timeout_s",
-      "net.warm_snapshot_path",
-      "net.drain_snapshot_path",
-      "net.force_poll",
-      "net.advertised_host",
-      "net.advertised_port",
-      "net.heartbeat_interval_s",
-      "net.suspect_timeout_s",
-      "net.dead_timeout_s",
-      "net.rejoin_probe_interval_s",
-      "net.ring_vnodes",
-      "net.handoff_enabled",
-      "net.handoff_batch_plans",
-      "net.handoff_io_timeout_s",
-      "net.handoff_retry_interval_s",
-  };
 }
 
 }  // namespace foscil::serve

@@ -1,43 +1,11 @@
-// [serve] configuration section for the planning service.
+// [serve] and [net] configuration sections for the planning service and
+// its network front end.
 //
 // Lives in serve/ (not core/config_loader) so the core library never
-// depends upward on the serving stack.  Recognized keys, all optional:
-//
-//   [serve]
-//   workers = 8              ; worker threads (0 = hardware default)
-//   queue_capacity = 256     ; bounded request queue (admission control)
-//   cache_capacity = 1024    ; LRU plan cache entries
-//   cache_shards = 8         ; lock shards (rounded down to a power of two)
-//   default_deadline_ms = 0  ; per-request deadline default (0 = none)
-//   overload_enabled = true  ; NORMAL/DEGRADED/SHED admission ladder
-//   degrade_fill = 0.5       ; queue fill that triggers degraded planning
-//   shed_fill = 0.9          ; queue fill that triggers load shedding
-//   recover_fill = 0.25      ; queue fill below which NORMAL resumes
-//   degraded_max_m = 64      ; m-search cap while degraded
-//   degraded_patience = 2    ; m-search patience cap while degraded
-//   breaker_threshold = 3    ; consecutive failures that open a breaker
-//   breaker_backoff_initial_ms = 100
-//   breaker_backoff_max_ms = 5000
-//   snapshot_path =          ; warm-restart snapshot file (empty = off)
-//   snapshot_period_s = 0    ; extra periodic flush (> 0 starts a flusher)
-//   demo_unique = 16         ; foscil_cli serve: distinct T_max points
-//   demo_repeats = 32        ; foscil_cli serve: repeats per point
-//
-// The network front end (serve/net/server.hpp) reads its own [net]
-// section:
-//
-//   [net]
-//   listen_host = 127.0.0.1
-//   listen_port = 0            ; 0 = ephemeral (printed at startup)
-//   max_connections = 256      ; beyond this, connections are shed
-//   max_in_flight = 32         ; per-connection cap at NORMAL load
-//   max_body_kib = 1024        ; inbound frame body cap
-//   read_idle_timeout_s = 5    ; partial-frame (slow-loris) timeout
-//   write_stall_timeout_s = 5  ; stalled-writer timeout
-//   idle_timeout_s = 0         ; reap idle connections (0 = never)
-//   warm_snapshot_path =       ; restore after listen, gate READY on it
-//   drain_snapshot_path =      ; final flush on graceful drain
-//   force_poll = false         ; use the poll(2) backend even with epoll
+// depends upward on the serving stack.  Every key -- its type, unit, range
+// and default -- is a row of the key table in serve_config.cpp
+// (config_keys); all keys are optional, and defaults are those of the
+// option structs the rows fill.
 #pragma once
 
 #include "serve/net/server.hpp"
@@ -64,9 +32,20 @@ struct ServeDemoOptions {
 [[nodiscard]] net::ServerOptions server_options_from_config(
     const Config& config);
 
-/// Every "serve.*" key this module reads — the serve layer's contribution
-/// to core::unknown_config_keys / warn_unknown_config_keys, so a
-/// misspelled [serve] knob is warned about instead of silently ignored.
-[[nodiscard]] std::vector<std::string> serve_known_config_keys();
+/// Every value a [serve] or [net] key fills, at the loaders' defaults.
+struct ConfigTargets {
+  ServiceOptions service;
+  ServeDemoOptions demo;
+  net::ServerOptions server;
+};
+
+/// The [serve]/[net] key table: one row per key, bound to a field of
+/// `targets`.
+[[nodiscard]] std::vector<ConfigKey> config_keys(ConfigTargets& targets);
+
+/// The table's key names — the serve layer's contribution to
+/// core::unknown_config_keys / warn_unknown_config_keys, so a misspelled
+/// [serve] or [net] knob is warned about instead of silently ignored.
+[[nodiscard]] std::vector<std::string> config_key_names();
 
 }  // namespace foscil::serve

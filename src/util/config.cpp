@@ -1,9 +1,11 @@
 #include "util/config.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <fstream>
 #include <sstream>
+#include <type_traits>
 
 namespace foscil {
 
@@ -21,6 +23,57 @@ std::string trim(const std::string& s) {
 
 [[noreturn]] void fail(int line, const std::string& what) {
   throw ConfigError("config line " + std::to_string(line) + ": " + what);
+}
+
+/// `token` as a finite real; throws ConfigError naming `key`.
+double finite_real(const std::string& key, const std::string& token) {
+  std::size_t used = 0;
+  double parsed = 0.0;
+  try {
+    parsed = std::stod(token, &used);
+  } catch (const std::exception&) {
+  }
+  if (used == 0 || !trim(token.substr(used)).empty())
+    throw ConfigError("key '" + key + "' is not a number: '" + token + "'");
+  // stod happily parses "nan" and "inf"; no physical quantity in a
+  // platform description is allowed to be non-finite.
+  if (!std::isfinite(parsed))
+    throw ConfigError("key '" + key + "' is not finite: '" + token + "'");
+  return parsed;
+}
+
+[[noreturn]] void reject(const ConfigKey& row, const std::string& why) {
+  throw ConfigError("key '" + std::string(row.name) + "' " + why);
+}
+
+template <class V>
+void check_range(const ConfigKey& row, V value) {
+  const ConfigRange& r = row.range;
+  if (value > r.lo && value < r.hi) return;
+  if ((value == r.lo && !r.lo_open) || (value == r.hi && !r.hi_open)) return;
+  std::ostringstream why;
+  if (std::isinf(r.hi))
+    why << "must be " << (r.lo_open ? "> " : ">= ") << r.lo;
+  else
+    why << "must be in " << (r.lo_open ? '(' : '[') << r.lo << ", " << r.hi
+        << (r.hi_open ? ')' : ']');
+  reject(row, why.str());
+}
+
+/// Range, then fit, then scale, all before the value narrows to T.
+/// Integers arrive as long double, whose 64-bit mantissa holds every long
+/// exactly, so the fit test sees the true scaled value.
+template <class T, class V>
+T scaled(const ConfigKey& row, V value) {
+  check_range(row, value);
+  const V result = value * row.scale.mul / row.scale.div;
+  if constexpr (std::is_integral_v<T>) {
+    if (result != std::floor(result) ||
+        result < static_cast<long double>(std::numeric_limits<T>::min()) ||
+        result > static_cast<long double>(std::numeric_limits<T>::max()))
+      reject(row, "does not fit its integer field");
+  }
+  return static_cast<T>(result);
 }
 
 }  // namespace
@@ -92,23 +145,7 @@ std::string Config::get_string(const std::string& key) const {
 }
 
 double Config::get_double(const std::string& key) const {
-  const std::string& value = raw(key);
-  try {
-    std::size_t used = 0;
-    const double parsed = std::stod(value, &used);
-    if (trim(value.substr(used)).empty()) {
-      // stod happily parses "nan" and "inf"; no physical quantity in a
-      // platform description is allowed to be non-finite.
-      if (!std::isfinite(parsed))
-        throw ConfigError("key '" + key + "' is not finite: '" + value +
-                          "'");
-      return parsed;
-    }
-  } catch (const ConfigError&) {
-    throw;
-  } catch (const std::exception&) {
-  }
-  throw ConfigError("key '" + key + "' is not a number: '" + value + "'");
+  return finite_real(key, raw(key));
 }
 
 long Config::get_int(const std::string& key) const {
@@ -130,28 +167,14 @@ bool Config::get_bool(const std::string& key) const {
 }
 
 std::vector<double> Config::get_doubles(const std::string& key) const {
-  const std::string& value = raw(key);
   std::vector<double> out;
-  std::istringstream in(value);
+  std::istringstream in(raw(key));
   std::string field;
   while (std::getline(in, field, ',')) {
     const std::string token = trim(field);
     if (token.empty())
       throw ConfigError("key '" + key + "' has an empty list element");
-    try {
-      std::size_t used = 0;
-      const double parsed = std::stod(token, &used);
-      if (!trim(token.substr(used)).empty()) throw std::invalid_argument("");
-      if (!std::isfinite(parsed))
-        throw ConfigError("key '" + key + "' has a non-finite element: '" +
-                          token + "'");
-      out.push_back(parsed);
-    } catch (const ConfigError&) {
-      throw;
-    } catch (const std::exception&) {
-      throw ConfigError("key '" + key + "' has a non-numeric element: '" +
-                        token + "'");
-    }
+    out.push_back(finite_real(key, token));
   }
   if (out.empty())
     throw ConfigError("key '" + key + "' is an empty list");
@@ -169,6 +192,42 @@ double Config::get_double_or(const std::string& key, double fallback) const {
 
 long Config::get_int_or(const std::string& key, long fallback) const {
   return has(key) ? get_int(key) : fallback;
+}
+
+void apply_config(const Config& config, std::span<const ConfigKey> rows,
+                  std::initializer_list<std::string_view> sections) {
+  for (const ConfigKey& row : rows) {
+    const std::string_view name = row.name;
+    const std::string_view section = name.substr(0, name.find('.'));
+    if (sections.size() != 0 &&
+        std::find(sections.begin(), sections.end(), section) == sections.end())
+      continue;
+    if (!config.has(row.name)) {
+      if (row.required)
+        throw ConfigError("missing config key: " + std::string(name));
+      continue;
+    }
+    std::visit(
+        [&](auto* field) {
+          using T = std::remove_pointer_t<decltype(field)>;
+          if constexpr (std::is_same_v<T, bool>) {
+            *field = config.get_bool(row.name);
+          } else if constexpr (std::is_same_v<T, std::string>) {
+            *field = config.get_string(row.name);
+          } else if constexpr (std::is_same_v<T, double>) {
+            *field = scaled<T>(row, config.get_double(row.name));
+          } else if constexpr (std::is_integral_v<T>) {
+            *field = scaled<T>(
+                row, static_cast<long double>(config.get_int(row.name)));
+          } else {
+            T list;
+            for (const double value : config.get_doubles(row.name))
+              list.push_back(scaled<typename T::value_type>(row, value));
+            *field = std::move(list);
+          }
+        },
+        row.field);
+  }
 }
 
 std::vector<std::string> Config::keys() const {

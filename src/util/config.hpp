@@ -10,12 +10,21 @@
 //
 // Keys are looked up as "section.key".  Parsing is strict: malformed lines,
 // duplicate keys, and type mismatches raise ConfigError with a line number.
+//
+// Loaders describe the keys they read as a table of ConfigKey rows and hand
+// it to apply_config(); the same rows name the keys for unknown-key
+// detection.
 #pragma once
 
+#include <cstdint>
+#include <initializer_list>
+#include <limits>
 #include <map>
-#include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <variant>
 #include <vector>
 
 namespace foscil {
@@ -61,5 +70,52 @@ class Config {
  private:
   std::map<std::string, std::string> values_;
 };
+
+/// Interval a numeric value must lie in, in the file's units (before any
+/// unit scale).  A list key applies it to every element.
+struct ConfigRange {
+  double lo = -std::numeric_limits<double>::infinity();
+  double hi = std::numeric_limits<double>::infinity();
+  bool lo_open = false;
+  bool hi_open = false;
+};
+inline constexpr ConfigRange kAnyValue{};
+inline constexpr ConfigRange kPositive{0.0, kAnyValue.hi, true};
+inline constexpr ConfigRange kNonNegative{0.0};
+inline constexpr ConfigRange kAtLeastOne{1.0};
+inline constexpr ConfigRange kUnitInterval{0.0, 1.0};
+
+/// Unit conversion from the file to the field: field = value * mul / div.
+struct ConfigScale {
+  double mul = 1.0;
+  double div = 1.0;
+};
+inline constexpr ConfigScale kMilli{1e-3};          ///< ms -> s, mm -> m
+inline constexpr ConfigScale kMicro{1e-6};          ///< us -> s, um -> m
+inline constexpr ConfigScale kKibi{1024.0};         ///< KiB -> bytes
+/// ms -> s as value / 1e3, which rounds differently from value * 1e-3.
+inline constexpr ConfigScale kPerThousand{1.0, 1e3};
+
+/// One row of a declarative key table.  The field's type picks the parse:
+/// bool, integer, real, string, or a comma-separated list of reals or of
+/// integers.
+struct ConfigKey {
+  using Field = std::variant<bool*, int*, unsigned*, std::size_t*,
+                             std::uint16_t*, double*, std::string*,
+                             std::vector<double>*, std::vector<std::size_t>*>;
+  const char* name;  ///< "section.key"
+  Field field;
+  ConfigRange range = {};
+  ConfigScale scale = {};
+  bool required = false;  ///< absent -> ConfigError
+};
+
+/// Store every row of `sections` (all rows when empty) whose key the
+/// config sets.  Each value is parsed, checked to be finite, to fit the
+/// field's type and to lie in range -- all before any narrowing or
+/// scaling -- and then stored as value * scale.  Throws ConfigError naming
+/// the key on failure, and for an absent required key.
+void apply_config(const Config& config, std::span<const ConfigKey> rows,
+                  std::initializer_list<std::string_view> sections = {});
 
 }  // namespace foscil

@@ -187,6 +187,43 @@ TEST(ConfigLoader, NonPositiveGridIsRejectedNotWrapped) {
   EXPECT_THROW((void)platform_from_config(negative), ConfigError);
 }
 
+/// The ConfigError message `thunk` throws, or "" when it throws none.
+template <class Thunk>
+std::string config_error_of(Thunk&& thunk) {
+  try {
+    thunk();
+  } catch (const ConfigError& error) {
+    return error.what();
+  }
+  return "";
+}
+
+TEST(ConfigLoader, OversizedMaxMIsRejectedNotNarrowed) {
+  // 2^32 + 1 used to narrow to an int max_m of 1.
+  const std::string message = config_error_of([] {
+    (void)ao_options_from_config(Config::parse("[ao]\nmax_m = 4294967297\n"));
+  });
+  EXPECT_NE(message.find("ao.max_m"), std::string::npos) << message;
+}
+
+TEST(ConfigLoader, OversizedEscalateAfterIsRejectedNotNarrowed) {
+  const std::string message = config_error_of([] {
+    (void)guard_options_from_config(
+        Config::parse("[guard]\nescalate_after = 4294967297\n"));
+  });
+  EXPECT_NE(message.find("guard.escalate_after"), std::string::npos)
+      << message;
+}
+
+TEST(ConfigLoader, NegativeTiersAreRejectedNotWrapped) {
+  // -1 used to become SIZE_MAX tiers and fail deep in the matrix code.
+  const std::string message = config_error_of([] {
+    (void)platform_from_config(
+        Config::parse("[platform]\nrows = 1\ncols = 2\ntiers = -1\n"));
+  });
+  EXPECT_NE(message.find("platform.tiers"), std::string::npos) << message;
+}
+
 TEST(ConfigLoader, AoMarginFromConfig) {
   const Config c = Config::parse("[ao]\nt_max_margin_k = 1.5\n");
   EXPECT_DOUBLE_EQ(ao_options_from_config(c).t_max_margin, 1.5);

@@ -425,21 +425,5 @@ TEST(NetE2E, MissingWarmSnapshotStartsColdButReady) {
   EXPECT_TRUE(client.plan(small_request(55.0)).plan.certified_safe);
 }
 
-// ---- the portable backend ------------------------------------------------
-
-TEST(NetE2E, PollBackendServesTheSameContract) {
-  ServerOptions options;
-  options.force_poll = true;
-  Shard shard(options);
-  NetClient client({shard.endpoint()}, small_platform(),
-                   fast_client_options());
-  const WirePlanRequest request = small_request(55.0);
-  const WirePlanResponse response = client.plan(request);
-  const std::shared_ptr<const ServedPlan> direct =
-      plan_direct(direct_equivalent(request));
-  EXPECT_TRUE(plans_bit_identical(response.plan.result, direct->result));
-  EXPECT_TRUE(client.plan(request).cache_hit);
-}
-
 }  // namespace
 }  // namespace foscil::serve::net

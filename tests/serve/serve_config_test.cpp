@@ -1,9 +1,17 @@
-// [serve] config parsing (serve/serve_config.hpp): defaults when the
-// section is absent, full override, and contract rejection of nonsensical
-// values.
+// [serve]/[net] config parsing (serve/serve_config.hpp): defaults when the
+// section is absent, full override, and rejection of nonsensical values;
+// plus the key-table checks that cover the core and serve tables together.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <filesystem>
+#include <limits>
+#include <span>
+#include <sstream>
 #include <string>
+#include <type_traits>
+#include <variant>
 #include <vector>
 
 #include "core/config_loader.hpp"
@@ -48,21 +56,23 @@ TEST(ServeConfig, FullSectionOverridesEveryKnob) {
 }
 
 TEST(ServeConfig, MalformedValuesViolateTheContract) {
+  // Single-key range violations are ConfigErrors naming the key; only
+  // cross-key rules (watermark order, timeout order) stay contract checks.
   EXPECT_THROW((void)service_options_from_config(
                    Config::parse("[serve]\nworkers = -1\n")),
-               ContractViolation);
+               ConfigError);
   EXPECT_THROW((void)service_options_from_config(
                    Config::parse("[serve]\nqueue_capacity = 0\n")),
-               ContractViolation);
+               ConfigError);
   EXPECT_THROW((void)service_options_from_config(
                    Config::parse("[serve]\ncache_capacity = 0\n")),
-               ContractViolation);
+               ConfigError);
   EXPECT_THROW((void)service_options_from_config(
                    Config::parse("[serve]\ndefault_deadline_ms = -5\n")),
-               ContractViolation);
+               ConfigError);
   EXPECT_THROW((void)demo_options_from_config(
                    Config::parse("[serve]\ndemo_unique = 0\n")),
-               ContractViolation);
+               ConfigError);
 }
 
 TEST(ServeConfig, RobustnessKeysParseIntoOptions) {
@@ -98,7 +108,7 @@ TEST(ServeConfig, RobustnessKeysParseIntoOptions) {
                ContractViolation);
   EXPECT_THROW((void)service_options_from_config(
                    Config::parse("[serve]\nsnapshot_period_s = -1\n")),
-               ContractViolation);
+               ConfigError);
 }
 
 TEST(ServeConfig, MembershipAndHandoffKeysParseIntoServerOptions) {
@@ -135,27 +145,7 @@ TEST(ServeConfig, MembershipAndHandoffKeysParseIntoServerOptions) {
       ContractViolation);
   EXPECT_THROW((void)server_options_from_config(
                    Config::parse("[net]\nring_vnodes = 0\n")),
-               ContractViolation);
-}
-
-TEST(ServeConfig, KnownKeyListCoversEveryKeyTheLoaderReads) {
-  // Feed a config that sets every advertised key (the serve layer owns
-  // both [serve] and [net]); none of them may come back as unknown, and a
-  // typo must.
-  std::string serve_body = "[serve]\n";
-  std::string net_body = "[net]\n";
-  for (const std::string& key : serve_known_config_keys()) {
-    const std::size_t dot = key.find('.');
-    std::string& body =
-        key.substr(0, dot) == "serve" ? serve_body : net_body;
-    body += key.substr(dot + 1) + " = 1\n";
-  }
-  const Config config = Config::parse(serve_body + net_body);
-  EXPECT_TRUE(
-      core::unknown_config_keys(config, serve_known_config_keys()).empty());
-  EXPECT_EQ(core::unknown_config_keys(Config::parse("[serve]\nworkerz = 1\n"),
-                                      serve_known_config_keys()),
-            std::vector<std::string>{"serve.workerz"});
+               ConfigError);
 }
 
 TEST(ServeConfig, ParsedOptionsConstructAWorkingService) {
@@ -164,6 +154,183 @@ TEST(ServeConfig, ParsedOptionsConstructAWorkingService) {
   PlanningService service(service_options_from_config(config));
   EXPECT_EQ(service.worker_count(), 2u);
   EXPECT_EQ(service.cache().capacity(), 4u);
+}
+
+/// The ConfigError message `thunk` throws, or "" when it throws none.
+template <class Thunk>
+std::string config_error_of(Thunk&& thunk) {
+  try {
+    thunk();
+  } catch (const ConfigError& error) {
+    return error.what();
+  }
+  return "";
+}
+
+TEST(ServeConfig, OversizedBodyCapIsRejectedNotWrapped) {
+  // 4194305 KiB is 4 GiB + 1 KiB: shifted into a uint32 it used to wrap to
+  // a 1 KiB cap.
+  const std::string message = config_error_of([] {
+    (void)server_options_from_config(
+        Config::parse("[net]\nmax_body_kib = 4194305\n"));
+  });
+  EXPECT_NE(message.find("net.max_body_kib"), std::string::npos) << message;
+}
+
+TEST(ServeConfig, OversizedDegradedMaxMIsRejectedNotNarrowed) {
+  const std::string message = config_error_of([] {
+    (void)service_options_from_config(
+        Config::parse("[serve]\ndegraded_max_m = 4294967297\n"));
+  });
+  EXPECT_NE(message.find("serve.degraded_max_m"), std::string::npos)
+      << message;
+}
+
+// ---- the key tables ------------------------------------------------------
+
+[[nodiscard]] bool in_range(const ConfigRange& r, double v) {
+  return (v > r.lo || (v == r.lo && !r.lo_open)) &&
+         (v < r.hi || (v == r.hi && !r.hi_open));
+}
+
+/// `v` as a config value: integers without a decimal point.
+[[nodiscard]] std::string text(double v) {
+  std::ostringstream out;
+  out << v;
+  return out.str();
+}
+
+/// A value in the file's units that the row must refuse, or "" when every
+/// value of the field's type is acceptable (strings).
+template <class T>
+std::string out_of_range_value(const ConfigRange& r) {
+  if (std::isfinite(r.lo)) return text(r.lo_open ? r.lo : r.lo - 1.0);
+  if (std::isfinite(r.hi)) return text(r.hi_open ? r.hi : r.hi + 1.0);
+  if constexpr (std::is_same_v<T, std::string>) {
+    return "";
+  } else if constexpr (std::is_same_v<T, bool>) {
+    return "maybe";
+  } else if constexpr (std::is_same_v<T, double>) {
+    return "inf";
+  } else if constexpr (std::is_integral_v<T> && std::is_signed_v<T>) {
+    return std::to_string(
+        static_cast<long>(std::numeric_limits<T>::max()) + 1);
+  } else if constexpr (std::is_integral_v<T>) {
+    return "-1";
+  } else {
+    return "1, nan";
+  }
+}
+
+/// For every row of `table`: an in-range value that differs from the
+/// default lands in the row's field times the row's scale, and an
+/// out-of-range value throws a ConfigError naming the key.
+template <class Targets>
+void check_every_row(std::vector<ConfigKey> (*table)(Targets&)) {
+  Targets sizing;
+  const std::size_t count = table(sizing).size();
+  for (std::size_t i = 0; i < count; ++i) {
+    Targets targets;
+    const std::vector<ConfigKey> rows = table(targets);
+    const ConfigKey& row = rows[i];
+    const std::string key = row.name;
+    SCOPED_TRACE(key);
+    const std::span<const ConfigKey> one(&row, 1);
+    const auto config_with = [&](const std::string& value) {
+      const std::size_t dot = key.find('.');
+      return Config::parse("[" + key.substr(0, dot) + "]\n" +
+                           key.substr(dot + 1) + " = " + value + "\n");
+    };
+    std::visit(
+        [&](auto* field) {
+          using T = std::remove_pointer_t<decltype(field)>;
+          const auto scaled = [&](double v) {
+            if constexpr (std::is_same_v<T, double> ||
+                          std::is_same_v<T, std::vector<double>>)
+              return v * row.scale.mul / row.scale.div;
+            else
+              return static_cast<long double>(v) * row.scale.mul /
+                     row.scale.div;
+          };
+          if constexpr (std::is_same_v<T, bool>) {
+            const bool flipped = !*field;
+            apply_config(config_with(flipped ? "true" : "false"), one);
+            EXPECT_EQ(*field, flipped);
+          } else if constexpr (std::is_same_v<T, std::string>) {
+            apply_config(config_with("landed"), one);
+            EXPECT_EQ(*field, "landed");
+          } else if constexpr (std::is_arithmetic_v<T>) {
+            bool landed = false;
+            for (const double v : {7.0, 3.0, 0.5, 0.75, 2.0, 1.0}) {
+              if (std::is_integral_v<T> && v != std::floor(v)) continue;
+              if (!in_range(row.range, v) ||
+                  scaled(v) == static_cast<decltype(scaled(v))>(*field))
+                continue;
+              apply_config(config_with(text(v)), one);
+              EXPECT_EQ(*field, static_cast<T>(scaled(v)));
+              landed = true;
+              break;
+            }
+            EXPECT_TRUE(landed) << "no non-default in-range probe value";
+          } else {
+            apply_config(config_with("7, 3"), one);
+            ASSERT_EQ(field->size(), 2u);
+            EXPECT_EQ((*field)[0],
+                      static_cast<typename T::value_type>(scaled(7.0)));
+            EXPECT_EQ((*field)[1],
+                      static_cast<typename T::value_type>(scaled(3.0)));
+          }
+          const std::string bad = out_of_range_value<T>(row.range);
+          if (bad.empty()) return;
+          const std::string message = config_error_of(
+              [&] { apply_config(config_with(bad), one); });
+          EXPECT_NE(message.find("'" + key + "'"), std::string::npos)
+              << "value '" << bad << "' gave: " << message;
+        },
+        row.field);
+  }
+}
+
+TEST(ConfigTables, EveryRowLandsScaledAndRejectsOutOfRange) {
+  check_every_row(&core::config_keys);
+  check_every_row(&config_keys);
+
+  // One row per key across both tables.
+  core::ConfigTargets core_targets;
+  std::vector<std::string> names = config_key_names();
+  for (const ConfigKey& row : core::config_keys(core_targets))
+    names.push_back(row.name);
+  std::sort(names.begin(), names.end());
+  EXPECT_EQ(std::adjacent_find(names.begin(), names.end()), names.end());
+}
+
+TEST(ConfigTables, ShippedExampleConfigsLoadWithNoUnknownKeys) {
+  std::size_t loaded = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(FOSCIL_EXAMPLE_CONFIG_DIR)) {
+    if (entry.path().extension() != ".ini") continue;
+    SCOPED_TRACE(entry.path().string());
+    const Config config = Config::load(entry.path().string());
+    EXPECT_EQ(core::unknown_config_keys(config, config_key_names()),
+              std::vector<std::string>{});
+    EXPECT_NO_THROW({
+      (void)core::platform_from_config(config);
+      (void)core::t_max_from_config(config);
+      (void)core::ao_options_from_config(config);
+      (void)core::faults_from_config(config);
+      (void)core::identify_options_from_config(config);
+      (void)core::guard_options_from_config(config);
+      (void)service_options_from_config(config);
+      (void)demo_options_from_config(config);
+      (void)server_options_from_config(config);
+    });
+    ++loaded;
+  }
+  EXPECT_GE(loaded, 8u);
+  // A misspelled serve key is still caught.
+  EXPECT_EQ(core::unknown_config_keys(Config::parse("[serve]\nworkerz = 1\n"),
+                                      config_key_names()),
+            std::vector<std::string>{"serve.workerz"});
 }
 
 }  // namespace
